@@ -269,27 +269,38 @@ def cmd_codim(problem, args):
     return {"codimension": render_codim(problem.ideal(args.name).codimension())}
 
 
+def _render_correspondence(corr, stabilized_at, confirmed, strict):
+    if strict and not confirmed:
+        raise UnconfirmedStabilization()
+    return {
+        "correspondence": render_ideal(corr),
+        "stabilized_at": stabilized_at,
+        "confirmed": confirmed,
+    }
+
+
 def cmd_fiber(problem, args):
     ctx = _context(problem, args.ideal, args.seed)
     q = problem.point(args.at)
-    out = {}
-    if args.kind in ("row", "all"):
-        out["row"] = render_ideal(ctx.row_ideal(q))
-    if args.kind in ("corr", "all"):
-        corr, stab, confirmed = ctx.correspondence_fiber_ideal(q, args.max_power)
-        out["correspondence"] = render_ideal(corr)
-        out["stabilized_at"] = stab
-        out["confirmed"] = confirmed
-        if args.strict and not confirmed:
-            raise UnconfirmedStabilization()
-    if args.kind in ("morphism", "all"):
-        out["morphism"] = render_ideal(ctx.morphism_fiber_ideal(q))
-    if args.kind == "all":
-        rep = ctx.fiber_report(q, args.max_power)
-        out["codimensions"] = {k: render_codim(v) for k, v in rep.codimensions().items()}
-        out["linear"] = rep.linearity()
-        out["chain_verified"] = rep.chain_verified
-    return out
+    if args.kind == "row":
+        return {"row": render_ideal(ctx.row_ideal(q))}
+    if args.kind == "corr":
+        corr = ctx.correspondence_fiber_ideal(q, args.max_power)
+        return _render_correspondence(*corr, args.strict)
+    if args.kind == "morphism":
+        return {"morphism": render_ideal(ctx.morphism_fiber_ideal(q))}
+    # one report computes each fiber ideal once; every field renders from it
+    rep = ctx.fiber_report(q, args.max_power)
+    return {
+        "row": render_ideal(rep.row),
+        **_render_correspondence(
+            rep.correspondence, rep.stabilized_at, rep.confirmed, args.strict
+        ),
+        "morphism": render_ideal(rep.morphism),
+        "codimensions": {k: render_codim(v) for k, v in rep.codimensions().items()},
+        "linear": rep.linearity(),
+        "chain_verified": rep.chain_verified,
+    }
 
 
 def cmd_spread(problem, args):

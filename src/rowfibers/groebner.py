@@ -2,13 +2,21 @@
 
 Also houses the free-module engine (position-over-term order) used for
 syzygy computations and module membership.  Everything is deterministic:
-pair selection is by minimal lcm degree with index tie-breaks, and division
-always reduces by the first divisor in sequence order.
+both engines select S-pairs by the normal strategy, popping a heap keyed on
+``(lcm degree, i, j)`` -- least lcm degree first, ties broken by pair index --
+and division always reduces by the first divisor in sequence order.
+
+A basis element's leading term is computed once, when it joins a basis, and
+handed to the reducers through the keyword-only ``leads`` argument of
+``normal_form``, ``module_normal_form`` and ``s_polynomial``;
+``GroebnerBasis.leads`` caches them for a finished basis.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .polyring import (
@@ -53,18 +61,30 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.elements)
 
+    @cached_property
+    def leads(self) -> tuple:
+        """Leading ``(coefficient, monomial)`` of each element, computed on first use."""
+        return tuple(g.leading(self.order) for g in self.elements)
+
 
 def normal_form(
     f: Polynomial,
     basis: Sequence[Polynomial],
     order: Optional[MonomialOrder] = None,
     with_quotients: bool = False,
+    *,
+    leads: Optional[Sequence[tuple]] = None,
 ):
     """Remainder of f under multivariate division by ``basis``.
 
     No term of the remainder is divisible by any basis leading term.
     Reduction always uses the first divisor in sequence order, so the
     result is deterministic for a fixed basis sequence.
+
+    ``leads``, when given, is ``g.leading(order)`` for each ``g`` in
+    ``basis``, in the same sequence, and every ``g`` must be nonzero.  A
+    caller that reduces many polynomials by one basis computes the leading
+    terms once and passes them here; the result is the same either way.
     """
     ring = f.ring
     order = order or ring.default_order
@@ -78,8 +98,9 @@ def normal_form(
             k = keymemo[m] = okey(m)
         return k
 
-    basis = [g for g in basis if not g.is_zero()]
-    leads = [g.leading(order) for g in basis]
+    if leads is None:
+        basis = [g for g in basis if not g.is_zero()]
+        leads = [g.leading(order) for g in basis]
     work = dict(f.coeffs)
     remainder: dict = {}
     quotients = [dict() for _ in basis] if with_quotients else None
@@ -110,10 +131,16 @@ def normal_form(
     return r
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+def s_polynomial(
+    f: Polynomial,
+    g: Polynomial,
+    order: MonomialOrder,
+    *,
+    leads: Optional[tuple] = None,
+) -> Polynomial:
+    """The S-polynomial of f and g; ``leads`` is their two leading terms, if known."""
     F = f.ring.field
-    cf, mf = f.leading(order)
-    cg, mg = g.leading(order)
+    (cf, mf), (cg, mg) = leads or (f.leading(order), g.leading(order))
     lcm = mono_lcm(mf, mg)
     return f.mul_term(F.inv(cf), mono_div(lcm, mf)) - g.mul_term(
         F.inv(cg), mono_div(lcm, mg)
@@ -125,25 +152,32 @@ def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder):
     basis = [normalize(g, order) for g in gens if not g.is_zero()]
     if not basis:
         return []
-    leads = [g.leading_monomial(order) for g in basis]
+    leads = [g.leading(order) for g in basis]
+    lms = [m for _, m in leads]
+    # pending maps each unprocessed pair to its lcm; the heap holds exactly
+    # the same pairs keyed (lcm degree, i, j), and a pair leaves both only
+    # when it is popped
     pending = {}
+    heap = []
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            lcm = mono_lcm(leads[i], leads[j])
+            lcm = mono_lcm(lms[i], lms[j])
             pending[(i, j)] = lcm
-    while pending:
+            heap.append((mono_degree(lcm), i, j))
+    heapq.heapify(heap)
+    while heap:
         # normal strategy: minimal lcm degree, then index tie-break
-        (i, j) = min(pending, key=lambda p: (mono_degree(pending[p]), p))
+        _, i, j = heapq.heappop(heap)
         lcm = pending.pop((i, j))
         # Buchberger's coprimality criterion
-        if lcm == mono_mul(leads[i], leads[j]):
+        if lcm == mono_mul(lms[i], lms[j]):
             continue
         # chain criterion: some k divides the lcm and both (i,k), (j,k) are gone
         skip = False
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if mono_divides(leads[k], lcm):
+            if mono_divides(lms[k], lcm):
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik not in pending and pjk not in pending:
@@ -151,16 +185,21 @@ def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder):
                     break
         if skip:
             continue
-        r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        s = s_polynomial(basis[i], basis[j], order, leads=(leads[i], leads[j]))
+        r = normal_form(s, basis, order, leads=leads)
         if r.is_zero():
             continue
         r = normalize(r, order)
         basis.append(r)
-        lm = r.leading_monomial(order)
-        leads.append(lm)
+        lead = r.leading(order)
+        leads.append(lead)
+        lm = lead[1]
+        lms.append(lm)
         t = len(basis) - 1
         for k in range(t):
-            pending[(k, t)] = mono_lcm(leads[k], lm)
+            lcm = mono_lcm(lms[k], lm)
+            pending[(k, t)] = lcm
+            heapq.heappush(heap, (mono_degree(lcm), k, t))
     return basis
 
 
@@ -186,20 +225,21 @@ def reduced_groebner_basis(
     basis = _buchberger(gens, order)
     # minimalize: in increasing lead order, keep only elements whose lead is
     # not divisible by the lead of an already-kept element
-    basis.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    ranked = sorted(
+        ((g.leading(order), g) for g in basis), key=lambda p: order.key(p[0][1])
+    )
     minimal = []
     kept_leads = []
-    for g in basis:
-        lm = g.leading_monomial(order)
-        if any(mono_divides(k, lm) for k in kept_leads):
+    for lead, g in ranked:
+        if any(mono_divides(k[1], lead[1]) for k in kept_leads):
             continue
         minimal.append(g)
-        kept_leads.append(lm)
+        kept_leads.append(lead)
     # tail-reduce each element against the others
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        r = normal_form(g, others, order)
+        r = normal_form(g, others, order, leads=kept_leads[:i] + kept_leads[i + 1 :])
         if not r.is_zero():
             reduced.append(normalize(r, order))
     reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
@@ -304,8 +344,19 @@ def _mod_sub_scaled(v: dict, w: dict, c, shift: tuple, F) -> dict:
     return out
 
 
-def module_normal_form(v: dict, basis: Sequence[dict], order: MonomialOrder, field):
-    """Remainder of a module element under division by ``basis`` (POT order)."""
+def module_normal_form(
+    v: dict,
+    basis: Sequence[dict],
+    order: MonomialOrder,
+    field,
+    *,
+    leads: Optional[Sequence[tuple]] = None,
+):
+    """Remainder of a module element under division by ``basis`` (POT order).
+
+    ``leads``, when given, is the leading ``(coefficient, term)`` of each
+    basis element, in the same sequence, as ``normal_form`` takes them.
+    """
     mkey = _mod_key(order)
     keymemo: dict = {}
 
@@ -316,7 +367,8 @@ def module_normal_form(v: dict, basis: Sequence[dict], order: MonomialOrder, fie
         return k
 
     F = field
-    leads = [_mod_leading(b, key) for b in basis]
+    if leads is None:
+        leads = [_mod_leading(b, key) for b in basis]
     work = dict(v)
     remainder: dict = {}
     while work:
@@ -351,47 +403,45 @@ def module_groebner(vecs: Sequence[dict], order: MonomialOrder, field):
     key = _mod_key(order)
     F = field
     basis = []
+    leads = []  # (coefficient, term) of each basis element's lead
+
+    def append_monic(v):
+        lc, lt = _mod_leading(v, key)
+        v = _mod_scale(v, F.inv(lc), F)
+        basis.append(v)
+        leads.append((v[lt], lt))
+
     for v in vecs:
         if v:
-            lc, _ = _mod_leading(v, key)
-            basis.append(_mod_scale(v, F.inv(lc), F))
-    leads = [_mod_leading(b, key)[1] for b in basis]
-    pending = {}
+            append_monic(v)
+    heap = []  # (lcm degree, i, j, lcm): the normal strategy, as in _buchberger
 
-    def lcm_of(i, j):
-        (ci, mi), (cj, mj) = leads[i], leads[j]
-        if ci != cj:
-            return None
-        return mono_lcm(mi, mj)
+    def push_pair(i, j):
+        (ci, mi), (cj, mj) = leads[i][1], leads[j][1]
+        if ci == cj:
+            lcm = mono_lcm(mi, mj)
+            heapq.heappush(heap, (mono_degree(lcm), i, j, lcm))
 
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            lcm = lcm_of(i, j)
-            if lcm is not None:
-                pending[(i, j)] = lcm
-    while pending:
-        (i, j) = min(pending, key=lambda p: (mono_degree(pending[p]), p))
-        lcm = pending.pop((i, j))
-        (_, mi), (_, mj) = leads[i], leads[j]
+            push_pair(i, j)
+    while heap:
+        _, i, j, lcm = heapq.heappop(heap)
+        (_, mi), (_, mj) = leads[i][1], leads[j][1]
         spair = _mod_sub_scaled(
-            {t: c for t, c in _shifted(basis[i], mono_div(lcm, mi), F).items()},
+            _shifted(basis[i], mono_div(lcm, mi), F),
             basis[j],
             F.one,
             mono_div(lcm, mj),
             F,
         )
-        r = module_normal_form(spair, basis, order, F)
+        r = module_normal_form(spair, basis, order, F, leads=leads)
         if not r:
             continue
-        lc, lt = _mod_leading(r, key)
-        r = _mod_scale(r, F.inv(lc), F)
-        basis.append(r)
-        leads.append(lt)
+        append_monic(r)
         t = len(basis) - 1
         for k in range(t):
-            lcm = lcm_of(k, t)
-            if lcm is not None:
-                pending[(k, t)] = lcm
+            push_pair(k, t)
     return basis
 
 

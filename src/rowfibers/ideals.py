@@ -113,7 +113,7 @@ class Ideal:
                 any(mono_divides(g, m) for g in exps) for m in f.coeffs
             )
         gb = self.groebner()
-        return normal_form(f, gb.elements, gb.order).is_zero()
+        return normal_form(f, gb.elements, gb.order, leads=gb.leads).is_zero()
 
     def contains_ideal(self, other: "Ideal") -> bool:
         return all(self.contains(g) for g in other.generators)

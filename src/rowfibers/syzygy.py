@@ -266,11 +266,14 @@ def rank_modulo_linear_ideal(A: PresentationMatrix, L: Ideal) -> int:
         raise ValueError("cannot reduce modulo the unit ideal")
     if not L.is_linear():
         raise ValueError("rank reduction requires a linear ideal")
-    gb = list(L.groebner())
+    gb = L.groebner()
     rows = []
     for i in range(A.row_count):
         rows.append(
-            [normal_form(A.entry(i, j), gb, L.groebner().order) for j in range(A.column_count())]
+            [
+                normal_form(A.entry(i, j), gb.elements, gb.order, leads=gb.leads)
+                for j in range(A.column_count())
+            ]
         )
     return _bareiss_rank(rows, A.ring)
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from rowfibers import MapContext
 from rowfibers.cli import main, parse_problem
 
 from helpers import DATA, FP
@@ -105,6 +106,20 @@ def test_cli_fiber_all(capsys):
         "correspondence": 3,
         "morphism": {"unit": True},
     }
+
+
+def test_cli_fiber_all_computes_each_fiber_once(capsys, monkeypatch):
+    calls = []
+    original = MapContext.correspondence_fiber_ideal
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(MapContext, "correspondence_fiber_ideal", counted)
+    rep = run_json(capsys, "fiber", MONOMIAL, "--at", "q", "--kind", "all")
+    assert rep["results"]["correspondence"] == ["a^2", "b", "c"]
+    assert len(calls) == 1
 
 
 def test_cli_fiber_kind_selection(capsys):

@@ -12,9 +12,14 @@ from rowfibers import (
     reduced_groebner_basis,
     syzygy_generators,
 )
-from rowfibers.groebner import module_contains, module_groebner, s_polynomial
+from rowfibers.groebner import (
+    _buchberger,
+    module_contains,
+    module_groebner,
+    s_polynomial,
+)
 
-from helpers import FP, QQ, ring
+from helpers import FP, QQ, quartic_context, ring
 
 
 RP = ring(FP, "x", "y", "z")
@@ -193,3 +198,85 @@ def test_syzygies_generate_the_module():
             for m, c in p.coeffs.items():
                 v[(i, m)] = c
         assert module_contains(v, basis, order, F)
+
+
+# -- pair order --------------------------------------------------------------
+# Reduced bases are canonical, so they cannot see the order in which S-pairs
+# are processed.  The raw Buchberger basis and the syzygy columns can: these
+# goldens pin the normal strategy (least lcm degree, then pair index).
+
+
+def test_raw_buchberger_basis_pins_pair_order_fp():
+    order = RP.default_order
+    gens = [
+        RP.parse("x^2*y - z^3"),
+        RP.parse("x*z - y^2"),
+        RP.parse("y*z^2 - x^3"),
+        RP.parse("x*y*z - z^3 + y^3"),
+    ]
+    assert [g.text(order) for g in _buchberger(gens, order)] == [
+        "x^2*y - z^3",
+        "y^2 - x*z",
+        "x^3 - y*z^2",
+        "y^3 + x*y*z - z^3",
+        "x*y*z + 16001*z^3",
+        "x*z^3 - 2*z^4",
+        "x^2*z^2 + 16001*y*z^3",
+        "y*z^4 - 8001*z^5",
+        "z^5",
+    ]
+
+
+def test_raw_buchberger_basis_pins_pair_order_qq():
+    order = RQ.default_order
+    gens = [
+        RQ.parse("x^2 + 2*y*z - 3"),
+        RQ.parse("x*y - z^2 + x"),
+        RQ.parse("y^2 - 1/2*x*z + y"),
+    ]
+    assert [g.text(order) for g in _buchberger(gens, order)] == [
+        "x^2 + 2*y*z - 3",
+        "x*y - z^2 + x",
+        "2*y^2 - x*z + 2*y",
+        "2*x*z^2 - 3*y - 3",
+        "4*y*z^2 - 3*z",
+        "4*z^4 - 3*x*z - 6*y - 6",
+    ]
+
+
+def _column_strings(gens):
+    order = gens[0].ring.default_order
+    return [[e.text(order) for e in col] for col in syzygy_generators(gens)]
+
+
+def test_syzygy_columns_pin_pair_order_quartic():
+    gens = list(quartic_context().generators)
+    assert _column_strings(gens) == [
+        ["t", "-s", "0", "0"],
+        ["0", "0", "t", "-s"],
+        ["0", "t^2", "-s^2", "0"],
+    ]
+
+
+def test_syzygy_columns_pin_pair_order_quadric_map():
+    gens = [RP.parse(t) for t in ("x^2 - y*z", "x*y + z^2", "y^2 - x*z", "x*z + y*z")]
+    assert _column_strings(gens) == [
+        ["y + z", "-x - y", "x + z", "2*z"],
+        ["0", "y", "-x - z", "-x + y - z"],
+        ["x*z - z^2", "x*z", "-x*z - y*z", "-x^2 + y^2 - z^2"],
+        [
+            "0",
+            "x^2*z",
+            "x^2*z - x*y*z - y^2*z - y*z^2",
+            "-x^2*y + y^3 + x^2*z - 2*x*y*z + y^2*z - x*z^2",
+        ],
+        ["0", "x*z", "-y*z + z^2", "-x*y + y^2 - y*z"],
+        [
+            "0",
+            "0",
+            "x^2*z - y^2*z + x*z^2 + y*z^2",
+            "-x*y^2 + y^3 + x^2*z - x*y*z - y^2*z + x*z^2",
+        ],
+        ["0", "0", "x*z^2 + y*z^2", "-y^2*z + x*z^2"],
+        ["0", "0", "x*z + y*z", "-y^2 + x*z"],
+    ]
