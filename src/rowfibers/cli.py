@@ -341,9 +341,7 @@ def cmd_hks(problem, args):
         "bound": res.bound,
         "rank": res.rank,
         "reason": res.reason,
-        "row_ideal": render_ideal(
-            Ideal(ctx.ring, [e for e in A.generalized_row(q.coords) if not e.is_zero()])
-        ),
+        "row_ideal": render_ideal(A.generalized_row_ideal(q.coords)),
     }
 
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import neg
 from typing import Optional, Sequence
 
+from .groebner import _Echelon, syzygy_generators
 from .ideals import UNIT_CODIM, Ideal
 from .polyring import PolyRing, Polynomial
 from .syzygy import (
@@ -25,7 +27,6 @@ from .syzygy import (
     minimize_columns,
     rank_modulo_linear_ideal,
 )
-from .groebner import syzygy_generators
 
 __all__ = [
     "MapContext",
@@ -314,7 +315,7 @@ class MapContext:
                 acc = acc + g * e
             if not acc.is_zero():
                 raise ValueError(f"column {j} is not a syzygy of the map's generators")
-        A_q = Ideal(self.ring, [p for p in A.generalized_row(q.coords) if not p.is_zero()])
+        A_q = A.generalized_row_ideal(q.coords)
         if A_q.is_zero():
             return HksResult(False, None, None, "generalized row is zero")
         if A_q.is_unit():
@@ -414,6 +415,7 @@ class MapContext:
         N1 = len(basis)
         F = self.ring.field
         rng = self.rng(f"point_presentation/{d}")
+        span = _Echelon(F, neg)
         if points is None:
             points = []
             rows = []
@@ -428,7 +430,7 @@ class MapContext:
                 p = self.random_source_point(rng)
                 aff = p.normalized()
                 row = [f.evaluate(aff) for f in basis]
-                if _rank_extends(F, rows, row):
+                if span.add(_sparse_row(F, row)):
                     points.append(p)
                     rows.append(row)
             E = rows
@@ -437,7 +439,7 @@ class MapContext:
             if len(points) != N1:
                 raise ValueError(f"need exactly {N1} points, got {len(points)}")
             E = [[f.evaluate(p.normalized()) for f in basis] for p in points]
-            if _field_rank(F, [r[:] for r in E]) != N1:
+            if not all(span.add(_sparse_row(F, r)) for r in E):
                 raise ValueError("evaluation matrix of the supplied points is singular")
         # h = (E^T)^{-1} f  gives  h_i(p_k) = delta_ik
         ET_inv = _field_inverse(F, [[E[k][i] for k in range(N1)] for i in range(N1)])
@@ -497,10 +499,7 @@ class MapContext:
                 p = self.random_source_point(rng)
                 candidates.append(self.evaluate_map(p))
         for q in candidates:
-            ideal = Ideal(
-                self.ring, [e for e in A.generalized_row(q.coords) if not e.is_zero()]
-            )
-            if not ideal.is_linear():
+            if not A.generalized_row_ideal(q.coords).is_linear():
                 return "fail", q
         return "pass", None
 
@@ -580,48 +579,17 @@ class FiberReport:
 # ---------------------------------------------------------------------------
 
 
-def _field_rank(F, rows) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if not F.is_zero(rows[i][c])), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not F.is_zero(rows[i][c]):
-                factor = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
-        rank += 1
-        r += 1
-        if r == len(rows):
-            break
-    return rank
-
-
-def _rank_extends(F, rows, candidate) -> bool:
-    """True if appending ``candidate`` increases the row rank."""
-    return _field_rank(F, rows + [candidate]) == len(rows) + 1
+def _sparse_row(F, values) -> dict:
+    return {j: x for j, x in enumerate(values) if not F.is_zero(x)}
 
 
 def _field_inverse(F, M):
+    """M^-1 for an invertible square matrix M, read off the reduced form of [M | I]."""
     n = len(M)
-    aug = [list(row) + [F.one if i == j else F.zero for j in range(n)] for i, row in enumerate(M)]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if not F.is_zero(aug[i][c])), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = F.inv(aug[r][c])
-        aug[r] = [F.mul(inv, x) for x in aug[r]]
-        for i in range(n):
-            if i != r and not F.is_zero(aug[i][c]):
-                factor = aug[i][c]
-                aug[i] = [F.sub(x, F.mul(factor, y)) for x, y in zip(aug[i], aug[r])]
-        r += 1
-    return [row[n:] for row in aug]
+    # neg makes the leftmost nonzero column the pivot, so M's columns come first
+    ech = _Echelon(F, neg)
+    for i, row in enumerate(M):
+        ech.add({**_sparse_row(F, row), n + i: F.one})
+    if any(c not in ech.rows for c in range(n)):
+        raise ValueError("matrix is singular")
+    return [[ech.rows[c].get(n + j, F.zero) for j in range(n)] for c in range(n)]

@@ -10,6 +10,18 @@ A basis element's leading term is computed once, when it joins a basis, and
 handed to the reducers through the keyword-only ``leads`` argument of
 ``normal_form``, ``module_normal_form`` and ``s_polynomial``;
 ``GroebnerBasis.leads`` caches them for a finished basis.
+
+Data that lives in one degree needs no Buchberger run: ``_Echelon`` keeps an
+exact reduced row-echelon form of sparse rows over the coefficient field.
+``reduced_groebner_basis`` takes that route when every generator has degree
+at most 1: the leading terms of a row-echelon form are distinct variables,
+so every S-pair is coprime, and the reduced basis is the reduced echelon
+form with columns ordered by the monomial order (or ``(1)`` once a constant
+becomes a pivot).  The basis is canonical, so the result is the one
+Buchberger gives.  ``Ideal.minimal_generators``, ``minimize_columns`` and the
+point selection of ``MapContext.point_presentation`` use the same class,
+because inside one degree, membership in an ideal or module generated by
+forms of that degree is membership in their k-span.
 """
 
 from __future__ import annotations
@@ -203,6 +215,70 @@ def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder):
     return basis
 
 
+class _Echelon:
+    """Reduced row-echelon form of sparse rows over a field, built row by row.
+
+    A row is a dict from column to nonzero coefficient.  The pivot of a new
+    row is its greatest column under ``key``; every stored row is monic at
+    its pivot, its pivot is its greatest column, and no stored row holds
+    another row's pivot.
+    """
+
+    def __init__(self, field, key):
+        self.field = field
+        self.key = key
+        self.rows: dict = {}  # pivot column -> reduced row
+
+    def _sub_scaled(self, row: dict, c, other: dict):
+        """row -= c * other, in place."""
+        F = self.field
+        for col, x in other.items():
+            v = F.sub(row.get(col, F.zero), F.mul(c, x))
+            if F.is_zero(v):
+                row.pop(col, None)
+            else:
+                row[col] = v
+
+    def reduce(self, row: dict) -> dict:
+        """The remainder of ``row`` modulo the span; it holds no pivot column."""
+        work = dict(row)
+        # a stored row holds no other pivot, so one pass clears every pivot
+        for p in [col for col in work if col in self.rows]:
+            self._sub_scaled(work, work[p], self.rows[p])
+        return work
+
+    def add(self, row: dict) -> bool:
+        """Add ``row`` to the span; True iff it was not already in it."""
+        r = self.reduce(row)
+        if not r:
+            return False
+        F = self.field
+        p = max(r, key=self.key)
+        inv = F.inv(r[p])
+        r = {col: F.mul(inv, x) for col, x in r.items()}
+        for other in self.rows.values():
+            c = other.get(p)
+            if c is not None:
+                self._sub_scaled(other, c, r)
+        self.rows[p] = r
+        return True
+
+
+def _linear_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder):
+    """Reduced GB of polynomials of degree <= 1: their reduced row-echelon form."""
+    ring = gens[0].ring
+    ech = _Echelon(ring.field, order.key)
+    for g in gens:
+        ech.add(g.coeffs)
+    rows = ech.rows
+    constant = (0,) * ring.nvars
+    if constant in rows:
+        rows = {constant: rows[constant]}
+    reduced = [normalize(Polynomial(ring, r), order) for r in rows.values()]
+    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    return GroebnerBasis(tuple(reduced), order)
+
+
 def reduced_groebner_basis(
     gens: Sequence[Polynomial], order: Optional[MonomialOrder] = None
 ) -> GroebnerBasis:
@@ -222,6 +298,8 @@ def reduced_groebner_basis(
         if g.ring != ring:
             raise RingMismatchError("generators live in different rings")
     order = order or ring.default_order
+    if all(g.total_degree() <= 1 for g in gens):
+        return _linear_groebner_basis(gens, order)
     basis = _buchberger(gens, order)
     # minimalize: in increasing lead order, keep only elements whose lead is
     # not divisible by the lead of an already-kept element

@@ -8,6 +8,7 @@ from typing import Optional, Sequence
 
 from .groebner import (
     GroebnerBasis,
+    _Echelon,
     eliminate_first,
     exact_divide,
     extend_ring_front,
@@ -286,6 +287,8 @@ class Ideal:
 
         Generators are processed by increasing degree (input order breaking
         ties); one is kept iff it is not in the ideal of those already kept.
+        When all generators share one degree, that ideal meets the degree
+        in the k-span of the kept forms, so the test is a span test.
         """
         if not self.is_homogeneous():
             raise ValueError("minimal generators require a homogeneous ideal")
@@ -300,6 +303,9 @@ class Ideal:
                     keep.append(e)
             one = self.ring.field.one
             return [self.ring.monomial(m, one) for m in keep]
+        if len({g.total_degree() for g in self.generators}) == 1:
+            span = _Echelon(self.ring.field, self.ring.default_order.key)
+            return [g for g in self.generators if span.add(g.coeffs)]
         indexed = sorted(
             enumerate(self.generators), key=lambda t: (t[1].total_degree(), t[0])
         )

@@ -6,6 +6,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .groebner import (
+    _Echelon,
+    _mod_key,
     exact_divide,
     module_groebner,
     module_normal_form,
@@ -156,20 +158,35 @@ def minimize_columns(gens, columns):
 
     Columns are processed by increasing twist; one is kept iff it is not in
     the module generated by the columns already kept (graded Nakayama).
+    While every kept column has the twist of the one under test, that module
+    meets the twist in the k-span of the kept columns, so the test is a span
+    test; past it, a module Groebner basis of the kept columns answers, and
+    is rebuilt only when a column was kept since it was last built.
     """
     ring = gens[0].ring
     order = ring.default_order
     F = ring.field
     kept = []
     kept_vecs = []
-    gb = []
+    span = _Echelon(F, _mod_key(order))
+    first_twist = None
+    gb = None
     for col in _sorted_columns(gens, columns):
         v = _column_to_module(col)
-        if gb and not module_normal_form(v, gb, order, F):
-            continue
+        twist = _column_degree(gens, col)
+        if first_twist is None:
+            first_twist = twist
+        if twist == first_twist:
+            if not span.add(v):
+                continue
+        else:
+            if gb is None:
+                gb = module_groebner(kept_vecs, order, F)
+            if not module_normal_form(v, gb, order, F):
+                continue
+            gb = None
         kept.append(col)
         kept_vecs.append(v)
-        gb = module_groebner(kept_vecs, order, F)
     return kept
 
 

@@ -258,6 +258,22 @@ def test_point_presentation_row_is_the_power_row_ideal():
         assert pp.row_ideal(i).equals(ctx.power_row_ideal(2, pp.points[i]))
 
 
+def test_point_presentation_pins_sampled_points():
+    # the points drawn depend on which draws extend the evaluation matrix's rank
+    pp = quartic_context(seed=0).point_presentation(2)
+    assert [p.coords for p in pp.points] == [
+        (2564, 16864),
+        (26998, 24291),
+        (23794, 13874),
+        (31435, 26156),
+        (9669, 12039),
+        (23766, 2805),
+        (31371, 1894),
+        (30665, 22017),
+        (1694, 21037),
+    ]
+
+
 def test_point_presentation_with_supplied_points():
     ctx = quartic_context()
     pts = [ProjectivePoint(FP, [1, k]) for k in range(1, 5)]

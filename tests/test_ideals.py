@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rowfibers import Ideal, UNIT_CODIM, RingMismatchError
+from rowfibers import Ideal, Polynomial, UNIT_CODIM, RingMismatchError, normal_form
+from rowfibers.groebner import _buchberger
 
 from helpers import (
     FP,
@@ -124,6 +127,46 @@ def test_minimal_generators():
     assert [str(g) for g in mono.minimal_generators()] == ["x^2", "x*y", "y^4"]
     with pytest.raises(ValueError):
         ideal(RQ, "x^2 + y").minimal_generators()
+
+
+@st.composite
+def equigenerated_forms(draw):
+    """Forms of one degree with at least two terms each, plus a few integer
+    combinations of earlier forms so that some generators are redundant."""
+    d = draw(st.integers(1, 3))
+    monos = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+    coefficient = st.integers(-9, 9).filter(bool)
+    form = st.dictionaries(st.sampled_from(monos), coefficient, min_size=2, max_size=4)
+    gens = draw(st.lists(form, min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(1, len(gens)))
+        combo: dict = {}
+        for g in gens[:at]:
+            k = draw(st.integers(-2, 2))
+            for m, c in g.items():
+                combo[m] = combo.get(m, 0) + k * c
+        gens.insert(at, {m: c for m, c in combo.items() if c})
+    return gens
+
+
+@pytest.mark.parametrize("R", [RP, RQ], ids=["fp", "q"])
+@settings(max_examples=25, deadline=None)
+@given(gens=equigenerated_forms())
+def test_minimal_generators_drops_exactly_the_redundant(R, gens):
+    F = R.field
+    I = Ideal(R, [Polynomial(R, {m: F.from_int(c) for m, c in g.items()}) for g in gens])
+    kept = I.minimal_generators()
+    order = R.default_order
+    before = []  # the generators kept so far
+    for g in I.generators:
+        is_kept = len(before) < len(kept) and kept[len(before)] == g
+        redundant = bool(before) and normal_form(
+            g, _buchberger(before, order), order
+        ).is_zero()
+        assert is_kept != redundant
+        if is_kept:
+            before.append(g)
+    assert before == kept
 
 
 # -- brute-force oracle agreement --------------------------------------------

@@ -13,8 +13,10 @@ from rowfibers import (
     minimal_presentation,
     parse_matrix_rows,
     rank_modulo_linear_ideal,
+    syzygy_generators,
     syzygy_matrix,
 )
+from rowfibers.syzygy import minimize_columns
 
 from helpers import (
     DATA,
@@ -176,12 +178,51 @@ def test_minimal_presentation_has_no_constants():
 
 
 def test_minimize_columns_drops_redundant():
-    from rowfibers.syzygy import minimize_columns
-    from rowfibers.groebner import syzygy_generators
-
     R = ring(FP, "x", "y", "z")
     x, y, z = R.gens()
     gens = [x, y, z]
     cols = syzygy_generators(gens)
     doubled = cols + [tuple(x * e for e in cols[0])]
     assert len(minimize_columns(gens, doubled)) == len(minimize_columns(gens, cols)) == 3
+
+
+# The kept subset depends on the order columns are tested in and on which
+# earlier columns were kept; these goldens pin it.
+
+
+def _kept_column_strings(gens):
+    order = gens[0].ring.default_order
+    kept = minimize_columns(gens, syzygy_generators(gens))
+    return [[e.text(order) for e in col] for col in kept]
+
+
+def test_minimize_columns_pin_quartic():
+    assert _kept_column_strings(list(quartic_context().generators)) == [
+        ["0", "0", "t", "-s"],
+        ["t", "-s", "0", "0"],
+        ["0", "t^2", "-s^2", "0"],
+    ]
+
+
+def test_minimize_columns_pin_twisted_cubic_square():
+    gens = list(twisted_cubic_context().power_context(2).generators)
+    assert _kept_column_strings(gens) == [
+        ["0", "0", "0", "0", "0", "t", "-s"],
+        ["0", "0", "0", "0", "t", "-s", "0"],
+        ["0", "0", "0", "t", "-s", "0", "0"],
+        ["0", "0", "t", "-s", "0", "0", "0"],
+        ["0", "t", "-s", "0", "0", "0", "0"],
+        ["t", "-s", "0", "0", "0", "0", "0"],
+    ]
+
+
+def test_minimize_columns_pin_quadric_map():
+    R = ring(FP, "x", "y", "z")
+    gens = [R.parse(t) for t in ("x^2 - y*z", "x*y + z^2", "y^2 - x*z", "x*z + y*z")]
+    assert _kept_column_strings(gens) == [
+        ["0", "y", "-x - z", "-x + y - z"],
+        ["y + z", "-x - y", "x + z", "2*z"],
+        ["0", "0", "x*z + y*z", "-y^2 + x*z"],
+        ["0", "x*z", "-y*z + z^2", "-x*y + y^2 - y*z"],
+        ["x*z - z^2", "x*z", "-x*z - y*z", "-x^2 + y^2 - z^2"],
+    ]
