@@ -198,7 +198,11 @@ class MapContext:
         return self.subspace_ideal(q).saturate(self.ideal)
 
     def correspondence_fiber_ideal(
-        self, q: ProjectivePoint, max_power: int = DEFAULT_MAX_POWER
+        self,
+        q: ProjectivePoint,
+        max_power: int = DEFAULT_MAX_POWER,
+        *,
+        row: Optional[Ideal] = None,
     ):
         """The union of I_q*I^(i-1) : I^i, with a 2-step confirmation window.
 
@@ -206,6 +210,9 @@ class MapContext:
         be increasing; a single repeat is not trusted, so stabilization is
         declared only after J_i = J_(i+1) = J_(i+2), and hitting max_power
         without that window yields confirmed=False.
+
+        ``row``, when given, must be the row ideal I_q : I at q; it serves as
+        J_1 instead of being computed again.
         """
         if max_power < 2:
             raise ValueError("max_power must be >= 2")
@@ -215,7 +222,10 @@ class MapContext:
         power = I
         for i in range(1, max_power + 1):
             numerator = Ideal(self.ring, numerator.minimal_generators())
-            J_i = numerator.colon(power)
+            if i == 1 and row is not None:
+                J_i = row
+            else:
+                J_i = numerator.colon(power)
             if chain and not J_i.contains_ideal(chain[-1]):
                 raise ConsistencyError(
                     f"correspondence chain failed to increase at step {i}"
@@ -510,8 +520,12 @@ class MapContext:
     ) -> "FiberReport":
         I_q = self.subspace_ideal(q)
         row = I_q.colon(self.ideal)
-        corr, stabilized_at, confirmed = self.correspondence_fiber_ideal(q, max_power)
-        morph = I_q.saturate(self.ideal)
+        corr, stabilized_at, confirmed = self.correspondence_fiber_ideal(
+            q, max_power, row=row
+        )
+        # I_q : I^infty = (I_q : I) : I^infty; like I_q.saturate, return I_q
+        # itself when its first colon, the row, equals it
+        morph = I_q if row.equals(I_q) else row.saturate(self.ideal)
         chain_ok = (
             row.contains_ideal(I_q)
             and corr.contains_ideal(row)

@@ -318,9 +318,6 @@ class Ideal:
             kept.append(g)
         return kept
 
-    def minimalized(self) -> "Ideal":
-        return Ideal(self.ring, self.minimal_generators())
-
     # -- rendering -----------------------------------------------------------
 
     def canonical_strings(self, order: Optional[MonomialOrder] = None) -> list:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import le, neg, sub
 from typing import Iterable, Optional, Sequence, Union
 
 __all__ = [
@@ -166,16 +167,16 @@ def mono_mul(a: tuple, b: tuple) -> tuple:
 
 
 def mono_divides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: tuple, b: tuple) -> tuple:
     """a / b, assuming b | a."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(a: tuple) -> int:
@@ -198,7 +199,20 @@ class Monomial:
 
 
 def _grevlex_key(exps: tuple) -> tuple:
-    return (sum(exps),) + tuple(-e for e in reversed(exps))
+    return (sum(exps),) + tuple(map(neg, reversed(exps)))
+
+
+def _lex_key(exps: tuple) -> tuple:
+    return exps
+
+
+def _elim_key(block: int):
+    # the head block's grevlex key always has block + 1 entries, so the flat
+    # concatenation compares exactly like the pair (head key, tail key)
+    def key(exps: tuple) -> tuple:
+        return _grevlex_key(exps[:block]) + _grevlex_key(exps[block:])
+
+    return key
 
 
 class MonomialOrder:
@@ -207,6 +221,10 @@ class MonomialOrder:
     Kinds: ``grevlex`` (graded reverse lexicographic), ``lex``, and
     ``elim(k)`` -- a block order eliminating the first k variables, with
     grevlex inside each block.
+
+    ``key(exps)`` is the sort key: key(a) > key(b) iff a > b in this order.
+    It is bound once per order, since every comparison in the Groebner
+    engine goes through it.
     """
 
     GREVLEX = "grevlex"
@@ -220,6 +238,12 @@ class MonomialOrder:
             raise ValueError("elimination block size must be >= 1")
         self.kind = kind
         self.block = block
+        if kind == self.GREVLEX:
+            self.key = _grevlex_key
+        elif kind == self.LEX:
+            self.key = _lex_key
+        else:
+            self.key = _elim_key(block)
 
     @classmethod
     def grevlex(cls) -> "MonomialOrder":
@@ -232,15 +256,6 @@ class MonomialOrder:
     @classmethod
     def elimination(cls, block: int) -> "MonomialOrder":
         return cls(cls.ELIM, block)
-
-    def key(self, exps: tuple) -> tuple:
-        """Sort key: key(a) > key(b) iff a > b in this order."""
-        if self.kind == self.GREVLEX:
-            return _grevlex_key(exps)
-        if self.kind == self.LEX:
-            return exps
-        k = self.block
-        return (_grevlex_key(exps[:k]), _grevlex_key(exps[k:]))
 
     def compare(self, a: Union[Monomial, tuple], b: Union[Monomial, tuple]) -> int:
         """-1 / 0 / +1 as a < b / a = b / a > b."""

@@ -90,12 +90,6 @@ class PresentationMatrix:
     def column_count(self) -> int:
         return len(self.columns)
 
-    def entries_max_degree(self) -> int:
-        return max(
-            (e.total_degree() for col in self.columns for e in col if not e.is_zero()),
-            default=0,
-        )
-
     # -- generalized rows ----------------------------------------------------
 
     def generalized_row(self, coords: Sequence):

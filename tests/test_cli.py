@@ -134,6 +134,20 @@ def test_cli_spread(capsys):
     assert rep["results"]["special_fiber_dimension"] == 2
 
 
+def test_cli_spread_runs_the_elimination_oracle_once(capsys, monkeypatch):
+    calls = []
+    original = MapContext.special_fiber_dimension
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(MapContext, "special_fiber_dimension", counted)
+    rep = run_json(capsys, "spread", QUARTIC, "--trials", "2")
+    assert rep["results"]["special_fiber_dimension"] == 2
+    assert len(calls) == 1
+
+
 def test_cli_birational(capsys):
     rep = run_json(capsys, "birational", QUARTIC)
     assert rep["results"]["birational"] is True

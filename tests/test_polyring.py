@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rowfibers import CoefficientField, MonomialOrder, ParseError, PolyRing, Polynomial
-from rowfibers.polyring import normalize
+from rowfibers.polyring import mono_div, mono_divides, mono_lcm, normalize
 
 from helpers import FP, FPI, QQ, ideal, ring
 
@@ -84,6 +84,55 @@ def test_orders_are_multiplicative_total_orders(a, b, c):
         assert order.compare(shift, tuple(x + y for x, y in zip(b, c))) == cmp
         # 1 is the least monomial
         assert a == (0, 0, 0) or order.compare(a, (0, 0, 0)) > 0
+
+
+# Reference definitions of the monomial kernels: generator expressions over
+# zip, and the elimination key as a nested (head key, tail key) pair.  The
+# library's map-based kernels and flat elimination key must agree with them.
+
+
+def _reference_grevlex(exps):
+    return (sum(exps),) + tuple(-e for e in reversed(exps))
+
+
+def _reference_key(order, exps):
+    if order.kind == MonomialOrder.GREVLEX:
+        return _reference_grevlex(exps)
+    if order.kind == MonomialOrder.LEX:
+        return exps
+    k = order.block
+    return (_reference_grevlex(exps[:k]), _reference_grevlex(exps[k:]))
+
+
+def _sign(x, y):
+    return (x > y) - (x < y)
+
+
+exp_pairs = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(*[st.tuples(*[st.integers(0, 3)] * n)] * 2)
+)
+
+
+@settings(max_examples=300)
+@given(pair=exp_pairs)
+def test_order_keys_compare_like_reference_keys(pair):
+    a, b = pair
+    n = len(a)
+    orders = [MonomialOrder.grevlex(), MonomialOrder.lex()]
+    orders += [MonomialOrder.elimination(k) for k in range(1, n + 1)]
+    for order in orders:
+        expected = _sign(_reference_key(order, a), _reference_key(order, b))
+        assert _sign(order.key(a), order.key(b)) == expected, order
+        assert order.compare(a, b) == expected, order
+
+
+@settings(max_examples=300)
+@given(pair=exp_pairs)
+def test_monomial_kernels_match_zip_definitions(pair):
+    a, b = pair
+    assert mono_divides(a, b) == all(x <= y for x, y in zip(a, b))
+    assert mono_div(a, b) == tuple(x - y for x, y in zip(a, b))
+    assert mono_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
 
 
 # -- polynomial arithmetic ---------------------------------------------------
