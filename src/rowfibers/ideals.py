@@ -174,6 +174,10 @@ class Ideal:
         one = big.one()
         gens = [t * lift_to_extension(f, big) for f in self.generators]
         gens += [(one - t) * lift_to_extension(g, big) for g in other.generators]
+        return self._eliminate_aux(gens)
+
+    def _eliminate_aux(self, gens: Sequence[Polynomial]) -> "Ideal":
+        """(gens) intersected with this ring, for gens in k[t_aux_, x]."""
         small, out = eliminate_first(gens, 1)
         assert small == PolyRing(self.ring.field, self.ring.variables, self.ring.default_order)
         return Ideal(self.ring, [Polynomial(self.ring, p.coeffs) for p in out])
@@ -212,7 +216,23 @@ class Ideal:
         return result
 
     def saturate(self, other: "Ideal") -> "Ideal":
-        """I : J^infty, by iterating colons until the increasing chain repeats."""
+        """I : J^infty.
+
+        By one polynomial f this is a single elimination,
+        I : f^infty = (I, 1 - t*f) intersect k[x] (Rabinowitsch), unless I
+        and f are both monomial: then, as for every J with several
+        generators, colons are iterated until the increasing chain repeats,
+        and monomial colons are combinatorial.
+        """
+        self._check(other)
+        if len(other.generators) == 1 and (
+            self.monomial_exponents() is None or other.monomial_exponents() is None
+        ):
+            big = extend_ring_front(self.ring, ("t_aux_",))
+            t = big.gen(0)
+            gens = [lift_to_extension(g, big) for g in self.generators]
+            gens.append(big.one() - t * lift_to_extension(other.generators[0], big))
+            return self._eliminate_aux(gens)
         current = self
         while True:
             nxt = current.colon(other)

@@ -131,17 +131,28 @@ def oracle_colon_member(I, J, m):
     return all(I.contains(m * j) for j in J.generators)
 
 
+def _exponents(monomial):
+    """The exponent tuple of a single-term polynomial."""
+    (exps,) = monomial.coeffs
+    return exps
+
+
 def oracle_saturate_member(I, J, m, max_steps=10):
     """m in I : J^infty by iterating oracle colon membership on m * J^k.
 
-    The frontier of products is deduplicated (everything here is a monomial)
-    so the blow-up stays polynomial.
+    I, J and m are monomial, so membership is decided on exponent tuples:
+    a monomial lies in I iff some generator of I divides it.  The frontier
+    of products is deduplicated so the blow-up stays polynomial.
     """
-    frontier = {m}
+    gens = [_exponents(g) for g in I.generators]
+    factors = [_exponents(j) for j in J.generators]
+    frontier = {_exponents(m)}
     for _ in range(max_steps + 1):
-        if all(I.contains(f) for f in frontier):
+        if all(
+            any(all(a <= b for a, b in zip(g, f)) for g in gens) for f in frontier
+        ):
             return True
-        frontier = {f * j for f in frontier for j in J.generators}
+        frontier = {tuple(a + b for a, b in zip(f, j)) for f in frontier for j in factors}
     return False
 
 

@@ -239,3 +239,50 @@ def test_order_flag(capsys):
     rep = run_json(capsys, "gb", MONOMIAL, "J", "--order", "lex")
     assert rep["order"] == "lex"
     assert rep["results"]["groebner"] == ["a*b^2", "a*c^2", "b*c^2", "b^2*c"]
+
+
+# -- golden JSON -------------------------------------------------------------
+
+GOLDEN = DATA / "golden"
+
+# every README invocation, plus the fiber kinds, spread and birationality on
+# the plane cubics over Q and on the monomial cover
+GOLDEN_INVOCATIONS = [
+    ("fiber", "monomial_cover.txt", "--at", "q", "--kind", "all"),
+    ("spread", "quartic_curve.txt", "--trials", "5"),
+    ("birational", "quartic_curve.txt", "--certify", "e0"),
+    ("hks", "quartic_matrices.txt", "--ideal", "IF", "--matrix", "M2", "--at", "e0"),
+    ("point-presentation", "quartic_curve.txt", "--power", "2"),
+    ("gb", "monomial_cover.txt", "J"),
+    ("colon", "monomial_cover.txt", "I", "J"),
+    ("saturate", "monomial_cover.txt", "I", "J"),
+    ("codim", "monomial_cover.txt", "I"),
+    ("linear-rows", "monomial_cover.txt", "--samples", "50"),
+    ("fiber", "plane_cubics.txt", "--at", "q", "--kind", "all"),
+    ("fiber", "plane_cubics.txt", "--at", "q", "--kind", "row"),
+    ("fiber", "plane_cubics.txt", "--at", "q", "--kind", "morphism"),
+    ("spread", "plane_cubics.txt"),
+    ("birational", "plane_cubics.txt"),
+    ("spread", "monomial_cover.txt"),
+    ("birational", "monomial_cover.txt"),
+]
+GOLDEN_FLAGS = [(), ("--seed", "3"), ("--order", "lex")]
+
+
+def golden_path(invocation, flags):
+    """tests/data/golden/<command>_<file stem>_<options>[_<flags>].json"""
+    command, problem, *options = invocation
+    words = [command, problem.removesuffix(".txt"), *options, *flags]
+    return GOLDEN / ("_".join(w.lstrip("-") for w in words) + ".json")
+
+
+@pytest.mark.parametrize("flags", GOLDEN_FLAGS, ids=["default", "seed3", "lex"])
+@pytest.mark.parametrize(
+    "invocation", GOLDEN_INVOCATIONS, ids=[" ".join(i) for i in GOLDEN_INVOCATIONS]
+)
+def test_cli_json_matches_golden(capsys, invocation, flags):
+    """--json output is byte-identical to the recorded answer."""
+    command, problem, *options = invocation
+    code, out, err = run(capsys, command, str(DATA / problem), *options, *flags, "--json")
+    assert code == 0, err
+    assert out == golden_path(invocation, flags).read_text()

@@ -180,6 +180,58 @@ def test_fiber_report_reuses_the_row_ideal_faithfully(field, data):
         assert rep.morphism.equals(ctx.morphism_fiber_ideal(q))
 
 
+def assert_principal_routes_agree(ctx, targets, source):
+    """The pivot-generator routes against colons by every generator of I:
+    row_ideal and morphism_fiber_ideal at each target, and
+    power_row_ideal(2, .) at the source point."""
+    I = ctx.ideal
+    assert len(I.generators) > 1  # so I_q.saturate(I) iterates colons by I
+    for q in targets:
+        I_q = ctx.subspace_ideal(q)
+        assert ctx.row_ideal(q).equals(I_q.colon(I))
+        assert ctx.morphism_fiber_ideal(q).equals(I_q.saturate(I))
+    I_q = ctx.subspace_ideal(ctx.evaluate_map(source))
+    numerator = Ideal(ctx.ring, (I_q * I).minimal_generators())
+    square = Ideal(ctx.ring, I.power(2).minimal_generators())
+    assert ctx.power_row_ideal(2, source).equals(numerator.colon(square))
+
+
+@pytest.mark.parametrize("field", [FP, QQ], ids=["fp", "q"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_principal_routes_match_colons_by_the_whole_ideal(field, data):
+    """I = I_q + (g_j) for the pivot j of q, so colons by powers of I are
+    colons by powers of g_j; a target whose first coordinate is 0 has a
+    pivot past 0."""
+    ctx, targets = data.draw(nonmonomial_map_and_points(field))
+    tail = data.draw(st.lists(st.integers(-5, 5), min_size=ctx.r, max_size=ctx.r))
+    assume(any(tail))
+    targets.append(ProjectivePoint(field, [0, *tail]))
+    source = ProjectivePoint(field, data.draw(
+        st.lists(st.integers(-5, 5), min_size=2, max_size=2).filter(any)
+    ))
+    try:
+        ctx.evaluate_map(source)
+    except BasePointError:
+        assume(False)
+    assert_principal_routes_agree(ctx, targets, source)
+
+
+@pytest.mark.parametrize(
+    "make,field,targets,source",
+    [
+        (monomial_cover_context, FP, [(0, 0, 0, 0, 1), (1, 0, 0, 0, 0)], (1, 1, 2, 3)),
+        (plane_cubics_context, QQ, [(0, 0, 0, 1), (0, -1, -1, 2)], (0, 1, 1)),
+        (quartic_context, FP, [(1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 2, 3)], (1, 2)),
+    ],
+    ids=["monomial_cover", "plane_cubics", "quartic"],
+)
+def test_principal_routes_on_the_golden_maps(make, field, targets, source):
+    ctx = make(field)
+    points = [ProjectivePoint(field, q) for q in targets]
+    assert_principal_routes_agree(ctx, points, ProjectivePoint(field, source))
+
+
 # -- analytic spread ---------------------------------------------------------
 
 

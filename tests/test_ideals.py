@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rowfibers import Ideal, Polynomial, UNIT_CODIM, RingMismatchError, normal_form
@@ -170,6 +170,45 @@ def test_minimal_generators_drops_exactly_the_redundant(R, gens):
 
 
 # -- brute-force oracle agreement --------------------------------------------
+
+
+@st.composite
+def ideal_and_form(draw, R):
+    """A form f of degree 1-2, non-monomial or monomial, and a non-monomial
+    ideal of 1-3 polynomials of degree <= 2 in x, y, z, whose first
+    generator is multiplied by a power of f (0-2) so that the saturation
+    has something to strip."""
+    def poly(monos, min_size):
+        coeffs = draw(st.dictionaries(
+            st.sampled_from(monos), st.integers(-5, 5).filter(bool),
+            min_size=min_size, max_size=3,
+        ))
+        return Polynomial(R, {m: R.field.from_int(c) for m, c in coeffs.items()})
+
+    d = draw(st.integers(1, 2))
+    forms = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+    f = poly(forms, draw(st.integers(1, 2)))
+    low = [(a, b, c) for a in range(3) for b in range(3) for c in range(3) if a + b + c <= 2]
+    gens = [poly(low, 1) for _ in range(draw(st.integers(1, 3)))]
+    gens[0] = gens[0] * f ** draw(st.integers(0, 2))
+    assume(any(len(g.coeffs) > 1 for g in gens))
+    return Ideal(R, gens), f
+
+
+@pytest.mark.parametrize("R", [RP, RQ], ids=["fp", "q"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_principal_saturation_matches_iterated_colons(R, data):
+    """Saturating by one form is one elimination of t from (I, 1 - t*f);
+    it must equal I : f : f : ... until the chain repeats."""
+    I, f = data.draw(ideal_and_form(R))
+    current = I
+    while True:
+        nxt = current.colon_poly(f)
+        if nxt.equals(current):
+            break
+        current = nxt
+    assert I.saturate(Ideal(R, [f])).equals(current)
 
 
 def test_colon_and_saturation_agree_with_oracle():
