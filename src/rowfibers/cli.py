@@ -350,8 +350,7 @@ def cmd_hks(problem, args):
 
 def cmd_linear_rows(problem, args):
     ctx = _context(problem, args.ideal, args.seed)
-    if args.power > 1:
-        ctx = ctx.power_context(args.power)
+    ctx = ctx.power_context(args.power)
     verdict, counterexample = ctx.linear_generalized_rows_check(args.samples)
     return {
         "verdict": verdict,

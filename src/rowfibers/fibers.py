@@ -24,6 +24,8 @@ from .ideals import UNIT_CODIM, Ideal
 from .polyring import PolyRing, Polynomial
 from .syzygy import (
     PresentationMatrix,
+    _check_syzygies,
+    minimal_presentation,
     minimize_columns,
     rank_modulo_linear_ideal,
 )
@@ -328,12 +330,7 @@ class MapContext:
         """
         if len(A.generators) != self.r + 1:
             raise ValueError("matrix row count does not match the generator count")
-        for j, col in enumerate(A.columns):
-            acc = self.ring.zero()
-            for g, e in zip(self.generators, col):
-                acc = acc + g * e
-            if not acc.is_zero():
-                raise ValueError(f"column {j} is not a syzygy of the map's generators")
+        _check_syzygies(self.generators, A.columns)
         A_q = A.generalized_row_ideal(q.coords)
         if A_q.is_zero():
             return HksResult(False, None, None, "generalized row is zero")
@@ -484,16 +481,7 @@ class MapContext:
 
     # -- linear generalized rows --------------------------------------------
 
-    def minimal_presentation_matrix(self) -> PresentationMatrix:
-        """Minimal presentation over this context's chosen generator basis."""
-        columns = minimize_columns(
-            list(self.generators), syzygy_generators(list(self.generators))
-        )
-        return PresentationMatrix(self.generators, columns)
-
-    def linear_generalized_rows_check(
-        self, samples: int = 20, matrix: Optional[PresentationMatrix] = None
-    ):
+    def linear_generalized_rows_check(self, samples: int = 20):
         """Monte-Carlo search for a non-linear generalized row ideal.
 
         Tests all standard basis points, random target points, and images of
@@ -502,7 +490,7 @@ class MapContext:
         """
         if samples < 1:
             raise ValueError("need at least one sample")
-        A = matrix if matrix is not None else self.minimal_presentation_matrix()
+        A = minimal_presentation(self.ideal)[1]
         F = self.ring.field
         rng = self.rng("linear_rows")
         candidates = [
@@ -512,10 +500,9 @@ class MapContext:
             coords = [F.from_int(rng.randrange(F.p)) if F.p else F.from_int(rng.randint(-99, 99)) for _ in range(A.row_count)]
             if any(not F.is_zero(c) for c in coords):
                 candidates.append(ProjectivePoint(F, coords))
-        if A.row_count == self.r + 1:
-            for _ in range(samples):
-                p = self.random_source_point(rng)
-                candidates.append(self.evaluate_map(p))
+        for _ in range(samples):
+            p = self.random_source_point(rng)
+            candidates.append(self.evaluate_map(p))
         for q in candidates:
             if not A.generalized_row_ideal(q.coords).is_linear():
                 return "fail", q

@@ -65,7 +65,6 @@ __all__ = [
 class GroebnerBasis:
     elements: tuple
     order: MonomialOrder
-    reduced: bool = True
 
     def __iter__(self):
         return iter(self.elements)

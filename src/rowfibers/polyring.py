@@ -7,17 +7,15 @@ Everything is exact; no floating point appears anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import le, neg, sub
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 __all__ = [
     "CoefficientField",
     "PolyRing",
     "MonomialOrder",
-    "Monomial",
     "Polynomial",
     "RingMismatchError",
     "ParseError",
@@ -157,8 +155,7 @@ class CoefficientField:
 
 
 # ---------------------------------------------------------------------------
-# Monomials and orders.  Exponent vectors are plain tuples internally; the
-# Monomial wrapper is the public face used in comparisons and term lists.
+# Monomials and orders.  A monomial is its exponent tuple.
 # ---------------------------------------------------------------------------
 
 
@@ -181,21 +178,6 @@ def mono_lcm(a: tuple, b: tuple) -> tuple:
 
 def mono_degree(a: tuple) -> int:
     return sum(a)
-
-
-@dataclass(frozen=True)
-class Monomial:
-    exponents: tuple
-
-    @property
-    def degree(self) -> int:
-        return mono_degree(self.exponents)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(mono_mul(self.exponents, other.exponents))
-
-    def divides(self, other: "Monomial") -> bool:
-        return mono_divides(self.exponents, other.exponents)
 
 
 def _grevlex_key(exps: tuple) -> tuple:
@@ -257,13 +239,11 @@ class MonomialOrder:
     def elimination(cls, block: int) -> "MonomialOrder":
         return cls(cls.ELIM, block)
 
-    def compare(self, a: Union[Monomial, tuple], b: Union[Monomial, tuple]) -> int:
+    def compare(self, a: tuple, b: tuple) -> int:
         """-1 / 0 / +1 as a < b / a = b / a > b."""
-        ea = a.exponents if isinstance(a, Monomial) else a
-        eb = b.exponents if isinstance(b, Monomial) else b
-        if len(ea) != len(eb):
+        if len(a) != len(b):
             raise RingMismatchError("monomials have different variable counts")
-        ka, kb = self.key(ea), self.key(eb)
+        ka, kb = self.key(a), self.key(b)
         return (ka > kb) - (ka < kb)
 
     def __eq__(self, other):
@@ -386,10 +366,10 @@ class Polynomial:
         return not self.coeffs
 
     def terms(self, order: Optional[MonomialOrder] = None):
-        """Terms as (coefficient, Monomial) pairs, strictly decreasing."""
+        """Terms as (coefficient, exponent tuple) pairs, strictly decreasing."""
         order = order or self.ring.default_order
         return [
-            (self.coeffs[m], Monomial(m))
+            (self.coeffs[m], m)
             for m in sorted(self.coeffs, key=order.key, reverse=True)
         ]
 
@@ -536,7 +516,7 @@ class Polynomial:
                 cs = cs[1:]
             factors = [
                 v if e == 1 else f"{v}^{e}"
-                for v, e in zip(self.ring.variables, mono.exponents)
+                for v, e in zip(self.ring.variables, mono)
                 if e
             ]
             if not factors:

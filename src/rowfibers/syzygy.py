@@ -68,16 +68,7 @@ class PresentationMatrix:
             if twist is None:
                 raise ValueError(f"column {j} is zero")
             self.column_degrees.append(twist)
-        self._validate_syzygies()
-
-    def _validate_syzygies(self):
-        zero = self.ring.zero()
-        for j, col in enumerate(self.columns):
-            acc = zero
-            for g, entry in zip(self.generators, col):
-                acc = acc + g * entry
-            if not acc.is_zero():
-                raise ValueError(f"column {j} is not a syzygy of the generators")
+        _check_syzygies(self.generators, self.columns)
 
     # -- access --------------------------------------------------------------
 
@@ -112,6 +103,17 @@ class PresentationMatrix:
 
     def generalized_row_ideal(self, coords: Sequence) -> Ideal:
         return Ideal(self.ring, [p for p in self.generalized_row(coords) if not p.is_zero()])
+
+
+def _check_syzygies(generators, columns):
+    """Raise ValueError unless sum_i generators[i] * column[i] = 0 for every column."""
+    zero = generators[0].ring.zero()
+    for j, col in enumerate(columns):
+        acc = zero
+        for g, entry in zip(generators, col):
+            acc = acc + g * entry
+        if not acc.is_zero():
+            raise ValueError(f"column {j} is not a syzygy of the generators")
 
 
 def syzygy_matrix(gens: Sequence[Polynomial]) -> PresentationMatrix:
@@ -187,63 +189,14 @@ def minimize_columns(gens, columns):
 def minimal_presentation(I: Ideal):
     """(minimal generators, minimal presentation matrix) of a homogeneous ideal.
 
-    The generators are minimalized first, so the raw syzygy matrix has no
-    constant entries; the columns are then pruned to a minimal generating
-    set of the syzygy module.
+    The syzygies of minimal generators have no nonzero constant entry, so
+    the columns only need minimizing to a minimal generating set of the
+    syzygy module.
     """
     gens = I.minimal_generators()
     if not gens:
         raise ValueError("cannot present the zero ideal")
-    columns = syzygy_generators(gens)
-    columns = prune_constant_entries(gens, columns)[1]
-    columns = minimize_columns(gens, columns)
-    return gens, PresentationMatrix(gens, columns)
-
-
-def prune_constant_entries(gens, columns):
-    """Eliminate rows/columns at nonzero-constant entries.
-
-    For an externally supplied matrix over a non-minimal generating set,
-    repeatedly pick the smallest (row, column) position holding a nonzero
-    constant and prune it by elementary operations preserving homogeneity.
-    Returns (generators, columns) with every surviving entry of positive
-    degree or zero.
-    """
-    F = gens[0].ring.field
-    gens = list(gens)
-    columns = [list(c) for c in columns]
-    while True:
-        pivot = None
-        for i in range(len(gens)):
-            for j in range(len(columns)):
-                e = columns[j][i]
-                if not e.is_zero() and e.total_degree() == 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        i, j = pivot
-        c = next(iter(columns[j][i].coeffs.values()))
-        pivot_col = columns[j]
-        inv = F.inv(c)
-        for jj in range(len(columns)):
-            if jj == j:
-                continue
-            e = columns[jj][i]
-            if e.is_zero():
-                continue
-            factor = e.scale(F.neg(inv))
-            columns[jj] = [
-                a + factor * b for a, b in zip(columns[jj], pivot_col)
-            ]
-        del columns[j]
-        for col in columns:
-            del col[i]
-        del gens[i]
-        columns = [c for c in columns if any(not e.is_zero() for e in c)]
-    return gens, [tuple(c) for c in columns]
+    return gens, PresentationMatrix(gens, minimize_columns(gens, syzygy_generators(gens)))
 
 
 def is_linear_presentation(I: Ideal) -> bool:

@@ -225,6 +225,13 @@ def test_exit_validation(capsys):
     assert code == 2  # e0 lives in the source, not the target
 
 
+@pytest.mark.parametrize("power", ["0", "-2"])
+def test_exit_power_below_one(capsys, power):
+    for command in ("linear-rows", "point-presentation"):
+        code, _, err = run(capsys, command, QUARTIC, "--power", power)
+        assert code == 2 and "power must be >= 1" in err, command
+
+
 def test_exit_strict_unconfirmed(capsys):
     code, _, err = run(
         capsys, "fiber", MONOMIAL, "--at", "q", "--max-power", "2", "--strict"

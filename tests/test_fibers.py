@@ -327,6 +327,13 @@ def test_hks_inapplicable_on_nonlinear_row():
     assert not res.applicable and "not linear" in res.reason
 
 
+def test_hks_rejects_columns_that_are_not_syzygies_of_the_map():
+    # the columns are syzygies of the matrix's own generators, not of g_0..g_r
+    ctx = quartic_context(field=FPI)
+    with pytest.raises(ValueError, match="not a syzygy"):
+        ctx.hks_lower_bound(quartic_second_matrix(ctx), e_point(FPI, 4, 0))
+
+
 # -- powers and point presentations ------------------------------------------
 
 

@@ -4,9 +4,12 @@ rows, the matrix text format, and rank modulo a linear ideal."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rowfibers import (
     Ideal,
+    Polynomial,
     PresentationMatrix,
     is_linear_presentation,
     matrix_from_rows,
@@ -22,6 +25,7 @@ from helpers import (
     DATA,
     FP,
     FPI,
+    QQ,
     ideal,
     monomial_cover_context,
     quartic_context,
@@ -83,7 +87,7 @@ def test_generalized_row_matches_colon_formula():
     I_q : I for random q (checked on two golden maps, 20 points each)."""
     rng = random.Random("generalized-rows")
     for ctx in (monomial_cover_context(), quartic_context()):
-        A = ctx.minimal_presentation_matrix()
+        A = minimal_presentation(ctx.ideal)[1]
         for _ in range(20):
             q = random_target_point(rng, ctx)
             assert A.generalized_row_ideal(q.coords).equals(ctx.row_ideal(q))
@@ -91,7 +95,7 @@ def test_generalized_row_matches_colon_formula():
 
 def test_standard_point_rows_are_matrix_rows():
     ctx = quartic_context()
-    A = ctx.minimal_presentation_matrix()
+    A = minimal_presentation(ctx.ideal)[1]
     for i in range(A.row_count):
         coords = [FP.zero] * A.row_count
         coords[i] = FP.one
@@ -226,3 +230,83 @@ def test_minimize_columns_pin_quadric_map():
         ["0", "x*z", "-y*z + z^2", "-x*y + y^2 - y*z"],
         ["x*z - z^2", "x*z", "-x*z - y*z", "-x^2 + y^2 - z^2"],
     ]
+
+
+# minimal_presentation: minimal generators, their syzygies, then
+# minimize_columns; these goldens pin both the rows and the kept columns.
+
+
+def _presentation_strings(I):
+    order = I.ring.default_order
+    gens, A = minimal_presentation(I)
+    return [g.text(order) for g in gens], [[e.text(order) for e in col] for col in A.columns]
+
+
+def test_minimal_presentation_pin_quartic():
+    assert _presentation_strings(quartic_context().ideal) == (
+        ["s^4", "s^3*t", "s*t^3", "t^4"],
+        [["0", "0", "t", "-s"], ["t", "-s", "0", "0"], ["0", "t^2", "-s^2", "0"]],
+    )
+
+
+def test_minimal_presentation_pin_twisted_cubic():
+    assert _presentation_strings(twisted_cubic_context().ideal) == (
+        ["s^3", "s^2*t", "s*t^2", "t^3"],
+        [["0", "0", "t", "-s"], ["0", "t", "-s", "0"], ["t", "-s", "0", "0"]],
+    )
+
+
+def test_minimal_presentation_pin_monomial_cover():
+    assert _presentation_strings(monomial_cover_context().ideal) == (
+        ["a*b^2", "a*c^2", "b^2*c", "b*c^2", "b*c*d"],
+        [
+            ["0", "0", "0", "d", "-c"],
+            ["0", "0", "c", "-b", "0"],
+            ["0", "0", "d", "0", "-b"],
+            ["0", "b", "0", "-a", "0"],
+            ["c", "0", "-a", "0", "0"],
+        ],
+    )
+
+
+def test_minimal_presentation_pin_mixed_degrees():
+    # the second generator is x times the first, so it is not minimal
+    R = ring(FP, "x", "y", "z")
+    I = ideal(R, "x*y - z^2", "x^2*y - x*z^2", "x^2*z", "y^3 + x*z^2")
+    assert _presentation_strings(I) == (
+        ["x*y - z^2", "x^2*z", "y^3 + x*z^2"],
+        [
+            ["x^2*z", "-x*y + z^2", "0"],
+            ["y^3 + x*z^2", "0", "-x*y + z^2"],
+            ["0", "y^3 + x*z^2", "-x^2*z"],
+            ["x^2*y^2", "x^2*z + y^2*z", "-x^3"],
+        ],
+    )
+
+
+@st.composite
+def homogeneous_gens(draw, R):
+    """2-4 nonzero forms in x, y, z, each of degree 1 or 2 on its own."""
+    gens = []
+    for _ in range(draw(st.integers(2, 4))):
+        d = draw(st.integers(1, 2))
+        monos = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+        coeffs = draw(st.dictionaries(
+            st.sampled_from(monos), st.integers(-5, 5).filter(bool),
+            min_size=1, max_size=3,
+        ))
+        gens.append(Polynomial(R, {m: R.field.from_int(c) for m, c in coeffs.items()}))
+    return gens
+
+
+@pytest.mark.parametrize("field", [FP, QQ], ids=["fp", "q"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_syzygies_of_minimal_generators_have_no_constant_entry(field, data):
+    """A homogeneous syzygy with a nonzero constant at row i would put g_i in
+    the ideal of the other generators of degree <= deg g_i, so g_i would not
+    be minimal: syzygies of minimal generators need no pruning."""
+    R = ring(field, "x", "y", "z")
+    gens = Ideal(R, data.draw(homogeneous_gens(R))).minimal_generators()
+    for col in syzygy_generators(gens):
+        assert all(e.is_zero() or e.total_degree() >= 1 for e in col)
