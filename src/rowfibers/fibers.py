@@ -206,7 +206,7 @@ class MapContext:
         """I_q : I^infty = I_q : g_j^infty, the saturated ideal of the fiber
         closure over q."""
         I_q, g_j = self._subspace_and_pivot(q)
-        return I_q.saturate(Ideal(self.ring, [g_j]))
+        return I_q.saturate_poly(g_j)
 
     def correspondence_fiber_ideal(
         self,
@@ -222,20 +222,21 @@ class MapContext:
         declared only after J_i = J_(i+1) = J_(i+2), and hitting max_power
         without that window yields confirmed=False.
 
-        ``row``, when given, must be the row ideal I_q : I at q; it serves as
-        J_1 instead of being computed again.
+        J_1 is the row ideal I_q : I = I_q : g_j; ``row``, when given, must
+        be that ideal, and is not computed again.
         """
         if max_power < 2:
             raise ValueError("max_power must be >= 2")
         I = self.ideal
-        numerator = self.subspace_ideal(q)
+        I_q, g_j = self._subspace_and_pivot(q)
+        J_i = I_q.colon_poly(g_j) if row is None else row
+        numerator = Ideal(self.ring, I_q.minimal_generators())
         chain = []
         power = I
         for i in range(1, max_power + 1):
-            numerator = Ideal(self.ring, numerator.minimal_generators())
-            if i == 1 and row is not None:
-                J_i = row
-            else:
+            if i > 1:
+                numerator = Ideal(self.ring, (numerator * I).minimal_generators())
+                power = Ideal(self.ring, (power * I).minimal_generators())
                 J_i = numerator.colon(power)
             if chain and not J_i.contains_ideal(chain[-1]):
                 raise ConsistencyError(
@@ -248,8 +249,6 @@ class MapContext:
                 return J_i, i, True
             if len(chain) >= 3 and chain[-1].equals(chain[-2]) and chain[-2].equals(chain[-3]):
                 return chain[-1], i - 2, True
-            numerator = numerator * I
-            power = Ideal(self.ring, (power * I).minimal_generators())
         return chain[-1], max_power, False
 
     # -- analytic spread ----------------------------------------------------
@@ -352,12 +351,11 @@ class MapContext:
         """True if the row ideal at q is linear of codimension n and does not
         contain I -- a sufficient certificate for birationality onto the image."""
         K = self.row_ideal(q)
-        return (
-            K.is_linear()
-            and not K.is_unit()
-            and K.codimension() == self.n
-            and not K.contains_ideal(self.ideal)
-        )
+        return self._is_one_point(K) and not K.contains_ideal(self.ideal)
+
+    def _is_one_point(self, K: Ideal) -> bool:
+        """K is linear of codimension n: the ideal of one point of P^n."""
+        return K.is_linear() and K.codimension() == self.n
 
     def birationality_test(self, trials: int = 3):
         """General-point birationality: the map is birational onto its image
@@ -374,8 +372,7 @@ class MapContext:
         for _ in range(trials):
             p = self.random_source_point(rng)
             K = self.morphism_fiber_ideal(self.evaluate_map(p))
-            ok = K.is_linear() and not K.is_unit() and K.codimension() == self.n
-            verdicts.append(ok)
+            verdicts.append(self._is_one_point(K))
             witnesses.append((p, K))
         if len(set(verdicts)) != 1:
             raise ConsistencyError(
@@ -513,19 +510,15 @@ class MapContext:
     def fiber_report(
         self, q: ProjectivePoint, max_power: int = DEFAULT_MAX_POWER
     ) -> "FiberReport":
-        # The report and its chain still colon by the whole power I^i, not
-        # by g_j^i: perfbench's peak_rss_mb includes the orchestrator, which
-        # grows with every pass, so the principal route's extra fiber_chain
-        # passes would read as a memory regression until that metric reads
-        # the worker's own peak.
-        I_q = self.subspace_ideal(q)
-        row = I_q.colon(self.ideal)
+        """The four fiber ideals at q and whether they increase: with j the
+        pivot of q, the row I_q : g_j, the chain started from it, and the
+        morphism fiber (I_q : g_j) : g_j^infty = I_q : I^infty."""
+        I_q, g_j = self._subspace_and_pivot(q)
+        row = I_q.colon_poly(g_j)
         corr, stabilized_at, confirmed = self.correspondence_fiber_ideal(
             q, max_power, row=row
         )
-        # I_q : I^infty = (I_q : I) : I^infty; like I_q.saturate, return I_q
-        # itself when its first colon, the row, equals it
-        morph = I_q if row.equals(I_q) else row.saturate(self.ideal)
+        morph = row.saturate_poly(g_j)
         chain_ok = (
             row.contains_ideal(I_q)
             and corr.contains_ideal(row)

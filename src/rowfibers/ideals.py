@@ -3,6 +3,7 @@ saturations, equality, codimension, linearity, and minimal generators."""
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -166,15 +167,18 @@ class Ideal:
             return Ideal(self.ring, [])
         a, b = self.monomial_exponents(), other.monomial_exponents()
         if a is not None and b is not None:
-            lcms = _minimal_monomials([mono_lcm(x, y) for x in a for y in b])
-            one = self.ring.field.one
-            return Ideal(self.ring, [self.ring.monomial(m, one) for m in lcms])
+            return self._monomial_ideal([mono_lcm(x, y) for x in a for y in b])
         big = extend_ring_front(self.ring, ("t_aux_",))
         t = big.gen(0)
         one = big.one()
         gens = [t * lift_to_extension(f, big) for f in self.generators]
         gens += [(one - t) * lift_to_extension(g, big) for g in other.generators]
         return self._eliminate_aux(gens)
+
+    def _monomial_ideal(self, exps) -> "Ideal":
+        """The ideal of this ring generated by the monomials with these exponents."""
+        one = self.ring.field.one
+        return Ideal(self.ring, [self.ring.monomial(m, one) for m in _minimal_monomials(exps)])
 
     def _eliminate_aux(self, gens: Sequence[Polynomial]) -> "Ideal":
         """(gens) intersected with this ring, for gens in k[t_aux_, x]."""
@@ -193,52 +197,46 @@ class Ideal:
             return self
         exps = self.monomial_exponents()
         if exps is not None and len(f.coeffs) == 1:
-            fm = next(iter(f.coeffs))
-            quots = _minimal_monomials(
+            (fm,) = f.coeffs
+            return self._monomial_ideal(
                 [tuple(max(g - m, 0) for g, m in zip(e, fm)) for e in exps]
             )
-            one = self.ring.field.one
-            return Ideal(self.ring, [self.ring.monomial(m, one) for m in quots])
         meet = self.intersect(Ideal(self.ring, [f]))
         return Ideal(self.ring, [exact_divide(g, f) for g in meet.generators])
 
+    def saturate_poly(self, f: Polynomial) -> "Ideal":
+        """I : f^infty = (I, 1 - t*f) intersect k[x], one elimination; for a
+        monomial ideal and a monomial f, I with f's variables set to 1."""
+        exps = self.monomial_exponents()
+        if exps is not None and len(f.coeffs) == 1:
+            (fm,) = f.coeffs
+            return self._monomial_ideal(
+                [tuple(0 if m else g for g, m in zip(e, fm)) for e in exps]
+            )
+        big = extend_ring_front(self.ring, ("t_aux_",))
+        gens = [lift_to_extension(g, big) for g in self.generators]
+        gens.append(big.one() - big.gen(0) * lift_to_extension(f, big))
+        return self._eliminate_aux(gens)
+
     def colon(self, other: "Ideal") -> "Ideal":
-        """I : J = {f : f*J in I}.  Convention: I : (0) = S; (0) : J = (0)."""
+        """I : J = {f : f*J in I}, the intersection of the I : f over the
+        generators f of J.  Convention: I : (0) = S; (0) : J = (0)."""
+        return self._meet_over(other, self.colon_poly)
+
+    def saturate(self, other: "Ideal") -> "Ideal":
+        """I : J^infty, the intersection of the I : f^infty over the
+        generators f of J (Cox-Little-O'Shea, ch. 4 section 4), each by
+        saturate_poly.  Convention: I : (0)^infty = S; (0) : J^infty = (0)."""
+        return self._meet_over(other, self.saturate_poly)
+
+    def _meet_over(self, other: "Ideal", by_poly) -> "Ideal":
+        """The intersection of by_poly(f) over the generators f of other."""
         self._check(other)
         if other.is_zero():
             return Ideal(self.ring, [self.ring.one()])
         if self.is_zero():
             return self
-        result = None
-        for f in other.generators:
-            part = self.colon_poly(f)
-            result = part if result is None else result.intersect(part)
-        return result
-
-    def saturate(self, other: "Ideal") -> "Ideal":
-        """I : J^infty.
-
-        By one polynomial f this is a single elimination,
-        I : f^infty = (I, 1 - t*f) intersect k[x] (Rabinowitsch), unless I
-        and f are both monomial: then, as for every J with several
-        generators, colons are iterated until the increasing chain repeats,
-        and monomial colons are combinatorial.
-        """
-        self._check(other)
-        if len(other.generators) == 1 and (
-            self.monomial_exponents() is None or other.monomial_exponents() is None
-        ):
-            big = extend_ring_front(self.ring, ("t_aux_",))
-            t = big.gen(0)
-            gens = [lift_to_extension(g, big) for g in self.generators]
-            gens.append(big.one() - t * lift_to_extension(other.generators[0], big))
-            return self._eliminate_aux(gens)
-        current = self
-        while True:
-            nxt = current.colon(other)
-            if nxt.equals(current):
-                return current
-            current = nxt
+        return reduce(Ideal.intersect, map(by_poly, other.generators))
 
     # -- elimination --------------------------------------------------------
 

@@ -156,6 +156,17 @@ def oracle_saturate_member(I, J, m, max_steps=10):
     return False
 
 
+def saturate_by_iterated_colons(I, J):
+    """I : J^infty as I : J : J : ... until the increasing chain repeats,
+    the reference route for saturations computed by elimination."""
+    current = I
+    while True:
+        nxt = current.colon(J)
+        if nxt.equals(current):
+            return current
+        current = nxt
+
+
 def same_members(I, J, probes):
     """True iff I and J contain exactly the same polynomials from probes."""
     return all(I.contains(m) == J.contains(m) for m in probes)

@@ -253,7 +253,8 @@ def test_order_flag(capsys):
 GOLDEN = DATA / "golden"
 
 # every README invocation, plus the fiber kinds, spread and birationality on
-# the plane cubics over Q and on the monomial cover
+# the plane cubics over Q and on the monomial cover, and colon and saturation
+# of non-monomial ideals over Q
 GOLDEN_INVOCATIONS = [
     ("fiber", "monomial_cover.txt", "--at", "q", "--kind", "all"),
     ("spread", "quartic_curve.txt", "--trials", "5"),
@@ -272,6 +273,8 @@ GOLDEN_INVOCATIONS = [
     ("birational", "plane_cubics.txt"),
     ("spread", "monomial_cover.txt"),
     ("birational", "monomial_cover.txt"),
+    ("colon", "conic_torsion.txt", "I", "J"),
+    ("saturate", "conic_torsion.txt", "I", "J"),
 ]
 GOLDEN_FLAGS = [(), ("--seed", "3"), ("--order", "lex")]
 
@@ -293,3 +296,10 @@ def test_cli_json_matches_golden(capsys, invocation, flags):
     code, out, err = run(capsys, command, str(DATA / problem), *options, *flags, "--json")
     assert code == 0, err
     assert out == golden_path(invocation, flags).read_text()
+
+
+def test_golden_directory_holds_exactly_the_golden_invocations():
+    """A golden file no invocation names, or an invocation with no golden
+    file, fails here instead of going unnoticed."""
+    expected = {golden_path(i, f).name for i in GOLDEN_INVOCATIONS for f in GOLDEN_FLAGS}
+    assert {p.name for p in GOLDEN.iterdir()} == expected

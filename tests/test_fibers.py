@@ -30,6 +30,7 @@ from helpers import (
     random_equigenerated_context,
     random_target_point,
     ring,
+    saturate_by_iterated_colons,
     twisted_cubic_context,
 )
 from rowfibers import Polynomial, matrix_from_rows, parse_matrix_rows
@@ -169,15 +170,16 @@ def nonmonomial_map_and_points(draw, field):
 @given(data=st.data())
 def test_fiber_report_reuses_the_row_ideal_faithfully(field, data):
     """fiber_report feeds its row ideal into the chain as J_1 and saturates
-    from it; every ideal must equal the one its own method computes."""
+    from it; the row and the morphism fiber must equal I_q : I and the
+    iterated colons by I, and the chain must equal the chain's own method."""
     ctx, points = data.draw(nonmonomial_map_and_points(field))
     for q in points:
         rep = ctx.fiber_report(q)
         corr, stabilized_at, confirmed = ctx.correspondence_fiber_ideal(q)
-        assert rep.row.equals(ctx.row_ideal(q))
+        assert rep.row.equals(rep.subspace.colon(ctx.ideal))
         assert rep.correspondence.equals(corr)
         assert (rep.stabilized_at, rep.confirmed) == (stabilized_at, confirmed)
-        assert rep.morphism.equals(ctx.morphism_fiber_ideal(q))
+        assert rep.morphism.equals(saturate_by_iterated_colons(rep.subspace, ctx.ideal))
 
 
 def assert_principal_routes_agree(ctx, targets, source):
@@ -185,11 +187,11 @@ def assert_principal_routes_agree(ctx, targets, source):
     row_ideal and morphism_fiber_ideal at each target, and
     power_row_ideal(2, .) at the source point."""
     I = ctx.ideal
-    assert len(I.generators) > 1  # so I_q.saturate(I) iterates colons by I
+    assert len(I.generators) > 1  # so the references colon by several forms
     for q in targets:
         I_q = ctx.subspace_ideal(q)
         assert ctx.row_ideal(q).equals(I_q.colon(I))
-        assert ctx.morphism_fiber_ideal(q).equals(I_q.saturate(I))
+        assert ctx.morphism_fiber_ideal(q).equals(saturate_by_iterated_colons(I_q, I))
     I_q = ctx.subspace_ideal(ctx.evaluate_map(source))
     numerator = Ideal(ctx.ring, (I_q * I).minimal_generators())
     square = Ideal(ctx.ring, I.power(2).minimal_generators())

@@ -19,6 +19,7 @@ from helpers import (
     random_monomial_ideal,
     ring,
     same_members,
+    saturate_by_iterated_colons,
 )
 
 RQ = ring(QQ, "x", "y", "z")
@@ -65,6 +66,12 @@ def test_saturation_goldens():
     # an irrelevant-ideal-primary component dies under saturation
     I = ideal(RQ, "x^2", "x*y", "x*z", "y^3")
     assert I.saturate(ideal(RQ, "x", "y", "z")).equals(ideal(RQ, "x", "y^3"))
+    # conventions: I : (0)^infty = S, (0) : J^infty = (0), I : (1)^infty = I
+    zero, unit = Ideal(RQ, []), ideal(RQ, "1")
+    for I in [ideal(RQ, "x*y", "y*z^2"), ideal(RQ, "x^2-y*z", "x*y+z^2")]:
+        assert I.saturate(zero).is_unit()
+        assert zero.saturate(I).is_zero()
+        assert I.saturate(unit).equals(I)
 
 
 def test_membership_and_equality():
@@ -172,24 +179,29 @@ def test_minimal_generators_drops_exactly_the_redundant(R, gens):
 # -- brute-force oracle agreement --------------------------------------------
 
 
+# exponents of the monomials of degree <= 2 in three variables
+LOW = [(a, b, c) for a in range(3) for b in range(3) for c in range(3) if a + b + c <= 2]
+
+
+def draw_poly(draw, R, monos, min_size):
+    """A polynomial on min_size to 3 of monos, with coefficients in -5..5."""
+    coeffs = draw(st.dictionaries(
+        st.sampled_from(monos), st.integers(-5, 5).filter(bool),
+        min_size=min_size, max_size=3,
+    ))
+    return Polynomial(R, {m: R.field.from_int(c) for m, c in coeffs.items()})
+
+
 @st.composite
 def ideal_and_form(draw, R):
     """A form f of degree 1-2, non-monomial or monomial, and a non-monomial
     ideal of 1-3 polynomials of degree <= 2 in x, y, z, whose first
     generator is multiplied by a power of f (0-2) so that the saturation
     has something to strip."""
-    def poly(monos, min_size):
-        coeffs = draw(st.dictionaries(
-            st.sampled_from(monos), st.integers(-5, 5).filter(bool),
-            min_size=min_size, max_size=3,
-        ))
-        return Polynomial(R, {m: R.field.from_int(c) for m, c in coeffs.items()})
-
     d = draw(st.integers(1, 2))
     forms = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
-    f = poly(forms, draw(st.integers(1, 2)))
-    low = [(a, b, c) for a in range(3) for b in range(3) for c in range(3) if a + b + c <= 2]
-    gens = [poly(low, 1) for _ in range(draw(st.integers(1, 3)))]
+    f = draw_poly(draw, R, forms, draw(st.integers(1, 2)))
+    gens = [draw_poly(draw, R, LOW, 1) for _ in range(draw(st.integers(1, 3)))]
     gens[0] = gens[0] * f ** draw(st.integers(0, 2))
     assume(any(len(g.coeffs) > 1 for g in gens))
     return Ideal(R, gens), f
@@ -202,13 +214,34 @@ def test_principal_saturation_matches_iterated_colons(R, data):
     """Saturating by one form is one elimination of t from (I, 1 - t*f);
     it must equal I : f : f : ... until the chain repeats."""
     I, f = data.draw(ideal_and_form(R))
-    current = I
-    while True:
-        nxt = current.colon_poly(f)
-        if nxt.equals(current):
-            break
-        current = nxt
-    assert I.saturate(Ideal(R, [f])).equals(current)
+    J = Ideal(R, [f])
+    assert I.saturate(J).equals(saturate_by_iterated_colons(I, J))
+
+
+@st.composite
+def ideal_and_saturating_ideal(draw, R):
+    """J of 2-3 linear forms, all non-monomial or one of them a variable,
+    and I = A*J for a non-monomial A of 1-2 polynomials of degree <= 2 whose
+    first generator is multiplied by a generator of J.  I : J^infty is then
+    A : J^infty, while the saturation by that one generator can strip more."""
+    linear = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    J = Ideal(R, [draw_poly(draw, R, linear, 2) for _ in range(draw(st.integers(2, 3)))])
+    if draw(st.booleans()):
+        J = Ideal(R, [R.gen(draw(st.integers(0, 2))), *J.generators[1:]])
+    A = [draw_poly(draw, R, LOW, 1) for _ in range(draw(st.integers(1, 2)))]
+    A[0] = A[0] * draw(st.sampled_from(J.generators))
+    assume(any(len(g.coeffs) > 1 for g in A))
+    return Ideal(R, A) * J, J
+
+
+@pytest.mark.parametrize("R", [RP, RQ], ids=["fp", "q"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_saturation_by_an_ideal_matches_iterated_colons(R, data):
+    """I : (f_1..f_s)^infty is the intersection of the I : f_i^infty; it must
+    equal I : J : J : ... until the chain repeats."""
+    I, J = data.draw(ideal_and_saturating_ideal(R))
+    assert I.saturate(J).equals(saturate_by_iterated_colons(I, J))
 
 
 def test_colon_and_saturation_agree_with_oracle():
