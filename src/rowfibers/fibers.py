@@ -206,7 +206,7 @@ class MapContext:
         """I_q : I^infty = I_q : g_j^infty, the saturated ideal of the fiber
         closure over q."""
         I_q, g_j = self._subspace_and_pivot(q)
-        return I_q.saturate_poly(g_j)
+        return I_q.saturate(Ideal(self.ring, [g_j]))
 
     def correspondence_fiber_ideal(
         self,
@@ -518,7 +518,7 @@ class MapContext:
         corr, stabilized_at, confirmed = self.correspondence_fiber_ideal(
             q, max_power, row=row
         )
-        morph = row.saturate_poly(g_j)
+        morph = row.saturate(Ideal(self.ring, [g_j]))
         chain_ok = (
             row.contains_ideal(I_q)
             and corr.contains_ideal(row)

@@ -204,7 +204,7 @@ class Ideal:
         meet = self.intersect(Ideal(self.ring, [f]))
         return Ideal(self.ring, [exact_divide(g, f) for g in meet.generators])
 
-    def saturate_poly(self, f: Polynomial) -> "Ideal":
+    def _saturate_poly(self, f: Polynomial) -> "Ideal":
         """I : f^infty = (I, 1 - t*f) intersect k[x], one elimination; for a
         monomial ideal and a monomial f, I with f's variables set to 1."""
         exps = self.monomial_exponents()
@@ -226,8 +226,8 @@ class Ideal:
     def saturate(self, other: "Ideal") -> "Ideal":
         """I : J^infty, the intersection of the I : f^infty over the
         generators f of J (Cox-Little-O'Shea, ch. 4 section 4), each by
-        saturate_poly.  Convention: I : (0)^infty = S; (0) : J^infty = (0)."""
-        return self._meet_over(other, self.saturate_poly)
+        _saturate_poly.  Convention: I : (0)^infty = S; (0) : J^infty = (0)."""
+        return self._meet_over(other, self._saturate_poly)
 
     def _meet_over(self, other: "Ideal", by_poly) -> "Ideal":
         """The intersection of by_poly(f) over the generators f of other."""
