@@ -20,8 +20,7 @@ from operator import neg
 from typing import Optional, Sequence
 
 from .groebner import _Echelon, syzygy_generators
-from .ideals import UNIT_CODIM, Ideal
-from .polyring import PolyRing, Polynomial
+from .ideals import UNIT_CODIM, Ideal, _adjoin
 from .syzygy import (
     PresentationMatrix,
     _check_syzygies,
@@ -260,25 +259,25 @@ class MapContext:
         (the special fiber ring); serves as the elimination oracle that the
         sampling route is checked against.
         """
-        names = list(self.ring.variables)
-        tnames = []
-        for i in range(self.r + 1):
-            name = f"T{i}"
-            while name in names or name in tnames:
-                name += "_"
-            tnames.append(name)
-        big = PolyRing(self.ring.field, names + tnames, self.ring.default_order)
-        pad = (0,) * (self.r + 1)
-        ker_gens = []
-        for i, g in enumerate(self.generators):
-            lifted = Polynomial(big, {m + pad: c for m, c in g.coeffs.items()})
-            ker_gens.append(big.gen(self.ring.nvars + i) - lifted)
-        kernel = Ideal(big, ker_gens).eliminate(self.ring.nvars)
+        n1 = self.ring.nvars
+        big, lift = _adjoin(self.ring, self.r + 1, front=False)
+        ker_gens = [big.gen(n1 + i) - lift(g) for i, g in enumerate(self.generators)]
+        kernel = Ideal(big, ker_gens).eliminate(n1)
         if kernel.is_zero():
             return self.r + 1
         dim = kernel.dimension()
         assert dim != UNIT_CODIM
         return dim
+
+    def _sampled_fibers(self, label: str, trials: int):
+        """Yield (p, I_phi(p) : I^infty) for ``trials`` random source points
+        p, drawn lazily from the RNG split under ``label``."""
+        if trials < 1:
+            raise ValueError("need at least one trial")
+        rng = self.rng(label)
+        for _ in range(trials):
+            p = self.random_source_point(rng)
+            yield p, self.morphism_fiber_ideal(self.evaluate_map(p))
 
     def analytic_spread(self, trials: int = 3):
         """Analytic spread by general-point sampling: 1 + codim(I_phi(p) : I^inf).
@@ -287,13 +286,8 @@ class MapContext:
         cross-checked against the elimination oracle, and any disagreement
         raises instead of being averaged away.
         """
-        if trials < 1:
-            raise ValueError("need at least one trial")
-        rng = self.rng("analytic_spread")
         codims = []
-        for _ in range(trials):
-            p = self.random_source_point(rng)
-            K = self.morphism_fiber_ideal(self.evaluate_map(p))
+        for _, K in self._sampled_fibers("analytic_spread", trials):
             c = K.codimension()
             if c == UNIT_CODIM:
                 raise ConsistencyError(
@@ -364,16 +358,8 @@ class MapContext:
         All trials must agree; disagreement raises a ConsistencyError
         (enlarge trials / inspect the map) rather than being voted away.
         """
-        if trials < 1:
-            raise ValueError("need at least one trial")
-        rng = self.rng("birationality")
-        verdicts = []
-        witnesses = []
-        for _ in range(trials):
-            p = self.random_source_point(rng)
-            K = self.morphism_fiber_ideal(self.evaluate_map(p))
-            verdicts.append(self._is_one_point(K))
-            witnesses.append((p, K))
+        witnesses = list(self._sampled_fibers("birationality", trials))
+        verdicts = [self._is_one_point(K) for _, K in witnesses]
         if len(set(verdicts)) != 1:
             raise ConsistencyError(
                 "birationality trials disagree; sampled points are not in "

@@ -50,9 +50,6 @@ __all__ = [
     "reduced_groebner_basis",
     "s_polynomial",
     "eliminate_first",
-    "extend_ring_front",
-    "lift_to_extension",
-    "drop_front_variables",
     "exact_divide",
     "module_normal_form",
     "module_groebner",
@@ -335,30 +332,8 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Ring extension / elimination
+# Elimination
 # ---------------------------------------------------------------------------
-
-
-def extend_ring_front(ring: PolyRing, new_vars: Sequence[str]) -> PolyRing:
-    """k[new_vars..., old_vars...] with the same field and default order."""
-    return PolyRing(ring.field, tuple(new_vars) + ring.variables, ring.default_order)
-
-
-def lift_to_extension(f: Polynomial, big: PolyRing) -> Polynomial:
-    """View f in an extension ring whose trailing variables are f's ring."""
-    pad = big.nvars - f.ring.nvars
-    zeros = (0,) * pad
-    return Polynomial(big, {zeros + m: c for m, c in f.coeffs.items()})
-
-
-def drop_front_variables(f: Polynomial, small: PolyRing, drop: int) -> Polynomial:
-    """Project into the trailing-variable subring; first ``drop`` exponents must vanish."""
-    out = {}
-    for m, c in f.coeffs.items():
-        if any(m[:drop]):
-            raise ValueError("polynomial involves a dropped variable")
-        out[m[drop:]] = c
-    return Polynomial(small, out)
 
 
 def eliminate_first(gens: Sequence[Polynomial], drop: int):
@@ -375,10 +350,11 @@ def eliminate_first(gens: Sequence[Polynomial], drop: int):
     order = MonomialOrder.elimination(drop)
     gb = reduced_groebner_basis(gens, order)
     small = PolyRing(ring.field, ring.variables[drop:], ring.default_order)
-    out = []
-    for g in gb:
-        if all(not any(m[:drop]) for m in g.coeffs):
-            out.append(drop_front_variables(g, small, drop))
+    out = [
+        Polynomial(small, {m[drop:]: c for m, c in g.coeffs.items()})
+        for g in gb
+        if all(not any(m[:drop]) for m in g.coeffs)
+    ]
     return small, out
 
 
@@ -536,8 +512,9 @@ def poly_to_module(f: Polynomial, comp: int) -> dict:
     return {(comp, m): c for m, c in f.coeffs.items()}
 
 
-def syzygy_generators(gens: Sequence[Polynomial], order: Optional[MonomialOrder] = None):
-    """Generators of the first syzygy module of ``gens``.
+def syzygy_generators(gens: Sequence[Polynomial]):
+    """Generators of the first syzygy module of ``gens``, in the ring's
+    default order.
 
     Works by the module elimination trick: compute a POT Groebner basis of
     the vectors (f_i, e_i) in S^(1+m) with the first component dominant;
@@ -545,7 +522,7 @@ def syzygy_generators(gens: Sequence[Polynomial], order: Optional[MonomialOrder]
     generating set of syzygies of the f_i.
     """
     ring = gens[0].ring
-    order = order or ring.default_order
+    order = ring.default_order
     F = ring.field
     m = len(gens)
     zero_exps = (0,) * ring.nvars

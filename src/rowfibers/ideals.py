@@ -12,13 +12,10 @@ from .groebner import (
     _Echelon,
     eliminate_first,
     exact_divide,
-    extend_ring_front,
-    lift_to_extension,
     normal_form,
     reduced_groebner_basis,
 )
 from .polyring import (
-    MonomialOrder,
     PolyRing,
     Polynomial,
     RingMismatchError,
@@ -39,13 +36,34 @@ def _minimal_monomials(exps):
             out.append(m)
     return out
 
+
+def _adjoin(ring: PolyRing, count: int, front: bool):
+    """(big, lift): ``ring`` with ``count`` new variables placed before
+    (``front``) or after its own, named T0, T1, ... with underscores appended
+    until no name is taken, and the map lifting a polynomial of ``ring``
+    into ``big``."""
+    names = []
+    for i in range(count):
+        name = f"T{i}"
+        while name in ring.variables or name in names:
+            name += "_"
+        names.append(name)
+    pad = (0,) * count
+    if front:
+        big = PolyRing(ring.field, names + list(ring.variables), ring.default_order)
+        return big, lambda f: Polynomial(big, {pad + m: c for m, c in f.coeffs.items()})
+    big = PolyRing(ring.field, list(ring.variables) + names, ring.default_order)
+    return big, lambda f: Polynomial(big, {m + pad: c for m, c in f.coeffs.items()})
+
+
 # Sentinel codimension of the unit ideal; deliberately distinct from any
 # integer so "empty fiber" is never confused with an m-primary fiber.
 UNIT_CODIM = "unit"
 
 
 class Ideal:
-    """An ideal in a graded polynomial ring, with cached reduced GBs per order.
+    """An ideal in a graded polynomial ring, with its reduced GB in the
+    ring's default order cached.
 
     Values are immutable apart from the GB cache; cache installation is
     idempotent (compute-then-install), so sharing across tasks is safe.
@@ -57,7 +75,7 @@ class Ideal:
                 raise RingMismatchError("generator lives in a different ring")
         self.ring = ring
         self.generators = tuple(g for g in generators if not g.is_zero())
-        self._gb_cache: dict = {}
+        self._gb: Optional[GroebnerBasis] = None
         self._mono_exps = False  # False = not yet computed; None = not monomial
 
     # -- basics -------------------------------------------------------------
@@ -74,10 +92,11 @@ class Ideal:
             self._mono_exps = exps
         return self._mono_exps
 
-    def groebner(self, order: Optional[MonomialOrder] = None) -> GroebnerBasis:
-        order = order or self.ring.default_order
-        gb = self._gb_cache.get(order)
+    def groebner(self) -> GroebnerBasis:
+        """The reduced Groebner basis in the ring's default order."""
+        gb = self._gb
         if gb is None:
+            order = self.ring.default_order
             exps = self.monomial_exponents()
             if exps is not None:
                 # the reduced GB of a monomial ideal is its minimal monomial
@@ -90,7 +109,7 @@ class Ideal:
                 )
             else:
                 gb = reduced_groebner_basis(self.generators, order)
-            self._gb_cache[order] = gb
+            self._gb = gb
         return gb
 
     def is_zero(self) -> bool:
@@ -168,23 +187,16 @@ class Ideal:
         a, b = self.monomial_exponents(), other.monomial_exponents()
         if a is not None and b is not None:
             return self._monomial_ideal([mono_lcm(x, y) for x in a for y in b])
-        big = extend_ring_front(self.ring, ("t_aux_",))
+        big, lift = _adjoin(self.ring, 1, front=True)
         t = big.gen(0)
-        one = big.one()
-        gens = [t * lift_to_extension(f, big) for f in self.generators]
-        gens += [(one - t) * lift_to_extension(g, big) for g in other.generators]
-        return self._eliminate_aux(gens)
+        gens = [t * lift(f) for f in self.generators]
+        gens += [(big.one() - t) * lift(g) for g in other.generators]
+        return Ideal(big, gens).eliminate(1)
 
     def _monomial_ideal(self, exps) -> "Ideal":
         """The ideal of this ring generated by the monomials with these exponents."""
         one = self.ring.field.one
         return Ideal(self.ring, [self.ring.monomial(m, one) for m in _minimal_monomials(exps)])
-
-    def _eliminate_aux(self, gens: Sequence[Polynomial]) -> "Ideal":
-        """(gens) intersected with this ring, for gens in k[t_aux_, x]."""
-        small, out = eliminate_first(gens, 1)
-        assert small == PolyRing(self.ring.field, self.ring.variables, self.ring.default_order)
-        return Ideal(self.ring, [Polynomial(self.ring, p.coeffs) for p in out])
 
     def colon_poly(self, f: Polynomial) -> "Ideal":
         """I : (f) via (I intersect (f)) divided through by f.
@@ -213,10 +225,10 @@ class Ideal:
             return self._monomial_ideal(
                 [tuple(0 if m else g for g, m in zip(e, fm)) for e in exps]
             )
-        big = extend_ring_front(self.ring, ("t_aux_",))
-        gens = [lift_to_extension(g, big) for g in self.generators]
-        gens.append(big.one() - big.gen(0) * lift_to_extension(f, big))
-        return self._eliminate_aux(gens)
+        big, lift = _adjoin(self.ring, 1, front=True)
+        gens = [lift(g) for g in self.generators]
+        gens.append(big.one() - big.gen(0) * lift(f))
+        return Ideal(big, gens).eliminate(1)
 
     def colon(self, other: "Ideal") -> "Ideal":
         """I : J = {f : f*J in I}, the intersection of the I : f over the
@@ -312,15 +324,15 @@ class Ideal:
             raise ValueError("minimal generators require a homogeneous ideal")
         exps = self.monomial_exponents()
         if exps is not None:
+            # the first generator with each exponent, as written
+            first = {}
+            for e, g in zip(exps, self.generators):
+                first.setdefault(e, g)
             keep = []
-            order_pos = {}
-            for idx, e in enumerate(exps):
-                order_pos.setdefault(e, idx)
-            for e in sorted(set(exps), key=lambda m: (mono_degree(m), order_pos[m])):
+            for e in sorted(first, key=mono_degree):
                 if not any(mono_divides(k, e) for k in keep):
                     keep.append(e)
-            one = self.ring.field.one
-            return [self.ring.monomial(m, one) for m in keep]
+            return [first[e] for e in keep]
         if len({g.total_degree() for g in self.generators}) == 1:
             span = _Echelon(self.ring.field, self.ring.default_order.key)
             return [g for g in self.generators if span.add(g.coeffs)]
@@ -338,7 +350,7 @@ class Ideal:
 
     # -- rendering -----------------------------------------------------------
 
-    def canonical_strings(self, order: Optional[MonomialOrder] = None) -> list:
+    def canonical_strings(self) -> list:
         """Sorted reduced-GB generator strings, the canonical rendering."""
-        gb = self.groebner(order)
+        gb = self.groebner()
         return sorted(g.text(gb.order) for g in gb)

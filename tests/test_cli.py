@@ -213,6 +213,17 @@ def test_cli_seed_flows_into_report(capsys):
     assert rep["seed"] == 42
 
 
+def test_cli_fiber_of_a_monomial_map_with_coefficients(capsys, tmp_path):
+    """The map's forms are its generators as written: q = phi(1:1) for
+    phi = (2a^3 : b^3 : ab^2), so the fiber over q is the point (1:1)."""
+    problem = tmp_path / "scaled_monomials.txt"
+    problem.write_text(
+        "field 32003\nvars a b\nideal I: 2*a^3 b^3 a*b^2\npoint q: 2 1 1\n"
+    )
+    rep = run_json(capsys, "fiber", str(problem), "--at", "q", "--kind", "morphism")
+    assert rep["results"]["morphism"] == ["a - b"]
+
+
 # -- exit codes --------------------------------------------------------------
 
 

@@ -6,8 +6,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rowfibers import Ideal, Polynomial, UNIT_CODIM, RingMismatchError, normal_form
-from rowfibers.groebner import _buchberger
+from rowfibers import (
+    Ideal,
+    MapContext,
+    Polynomial,
+    UNIT_CODIM,
+    RingMismatchError,
+    normal_form,
+)
+from rowfibers.groebner import _Echelon, _buchberger
 
 from helpers import (
     FP,
@@ -174,6 +181,76 @@ def test_minimal_generators_drops_exactly_the_redundant(R, gens):
         if is_kept:
             before.append(g)
     assert before == kept
+
+
+def test_monomial_minimal_generators_keep_coefficients():
+    """The monomial route keeps, for each kept exponent, the first input
+    generator with that exponent, as written."""
+    equi = ideal(RQ, "2*x^2", "3*x*y", "5*x^2", "-y^2", "x*y")
+    assert equi.minimal_generators() == [RQ.parse(t) for t in ("2*x^2", "3*x*y", "-y^2")]
+    mixed = ideal(RP, "7*x^3", "2*x^2*y", "3*x^2", "4*x^2", "-y^4", "x*y", "5*x*y^3")
+    assert mixed.minimal_generators() == [RP.parse(t) for t in ("3*x^2", "x*y", "-y^4")]
+
+
+def generic_minimal_generators(gens):
+    """The generic route on its own: the span test when the generators share
+    one degree, otherwise membership in the ideal of those already kept,
+    decided by a Buchberger basis, over the generators sorted stably by degree."""
+    R = gens[0].ring
+    order = R.default_order
+    if len({g.total_degree() for g in gens}) == 1:
+        span = _Echelon(R.field, order.key)
+        return [g for g in gens if span.add(g.coeffs)]
+    kept = []
+    for g in sorted(gens, key=Polynomial.total_degree):
+        if not kept or not normal_form(g, _buchberger(kept, order), order).is_zero():
+            kept.append(g)
+    return kept
+
+
+@st.composite
+def scaled_monomials(draw, R):
+    """1-8 monomials with nonzero coefficients in -9..9, drawn from a pool of
+    1-4 exponents (so exponents repeat), all of one degree or of degrees 1-4."""
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 4))
+        exps = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+    else:
+        exps = [(a, b, c) for a in range(5) for b in range(5) for c in range(5)
+                if 1 <= a + b + c <= 4]
+    pool = draw(st.lists(st.sampled_from(exps), min_size=1, max_size=4, unique=True))
+    coefficient = st.integers(-9, 9).filter(bool)
+    terms = draw(st.lists(st.tuples(st.sampled_from(pool), coefficient), min_size=1, max_size=8))
+    return [R.monomial(e, R.field.from_int(c)) for e, c in terms]
+
+
+@pytest.mark.parametrize("R", [RP, RQ], ids=["fp", "q"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_monomial_minimal_generators_match_generic_route(R, data):
+    gens = data.draw(scaled_monomials(R))
+    assert Ideal(R, gens).minimal_generators() == generic_minimal_generators(gens)
+
+
+@pytest.mark.parametrize(
+    "names", [("t_aux_", "b", "c"), ("T0", "b", "c"), ("T0", "T0_", "T1")]
+)
+def test_auxiliary_variables_never_clash_with_ring_variables(names):
+    """Intersections, colons and saturations adjoin one variable, the spread's
+    elimination oracle one per form; their names are fresh, so a ring
+    variable named like them changes no answer."""
+    answers = []
+    for R in (ring(FP, "a", "b", "c"), ring(FP, *names)):
+        x, y, z = R.gens()
+        J = Ideal(R, [x + y, y - z])
+        I = Ideal(R, [(x**2 - y * z) * g for g in (J * J).generators])
+        ctx = MapContext(Ideal(R, [x**2 - y * z, x * y, z**2]))
+        answers.append((
+            [[g.coeffs for g in K.groebner()]
+             for K in (I.intersect(J), I.colon(J), I.saturate(J))],
+            ctx.analytic_spread(),
+        ))
+    assert answers[0] == answers[1]
 
 
 # -- brute-force oracle agreement --------------------------------------------
