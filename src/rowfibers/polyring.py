@@ -8,7 +8,7 @@ Everything is exact; no floating point appears anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import le, neg, sub
 from typing import Iterable, Optional, Sequence
 
@@ -60,10 +60,18 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _rational(x):
+    """The canonical form of a rational: an int when integral, else a Fraction."""
+    return x.numerator if x.__class__ is Fraction and x.denominator == 1 else x
+
+
 class CoefficientField:
     """A prime field F_p (p odd) or the rationals (characteristic 0).
 
-    Elements are plain ints in [0, p) over F_p and `Fraction`s over Q.
+    Elements are plain ints in [0, p) over F_p.  Over Q an element is an
+    int when it is integral and a `Fraction` with denominator > 1 otherwise;
+    every operation returns this canonical form.  The two compare and hash
+    alike (``Fraction(2) == 2``), so a caller never needs to tell them apart.
     When ``with_i`` is requested over F_p with p = 1 (mod 4), an element i
     with i^2 = -1 is computed and exposed as ``sqrt_minus_one``.
     """
@@ -71,8 +79,8 @@ class CoefficientField:
     def __init__(self, characteristic: int = 0, with_i: bool = False):
         if characteristic == 0:
             self.p = 0
-            self.zero = Fraction(0)
-            self.one = Fraction(1)
+            self.zero = 0
+            self.one = 1
             self.sqrt_minus_one = None
             if with_i:
                 raise ValueError("sqrt(-1) is only supported over prime fields")
@@ -101,32 +109,34 @@ class CoefficientField:
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, a, b):
-        return (a + b) % self.p if self.p else a + b
+        return (a + b) % self.p if self.p else _rational(a + b)
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.p else a - b
+        return (a - b) % self.p if self.p else _rational(a - b)
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.p else a * b
+        return (a * b) % self.p if self.p else _rational(a * b)
 
     def neg(self, a):
-        return (-a) % self.p if self.p else -a
+        return (-a) % self.p if self.p else _rational(-a)
 
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("field inverse of zero")
-        return pow(a, -1, self.p) if self.p else 1 / a
+        return pow(a, -1, self.p) if self.p else _rational(Fraction(1, a))
 
     def div(self, a, b):
-        return self.mul(a, self.inv(b))
+        if self.p:
+            return self.mul(a, self.inv(b))
+        return _rational(Fraction(a, b))
 
     def from_int(self, n: int):
-        return n % self.p if self.p else Fraction(n)
+        return n % self.p if self.p else n
 
     def from_fraction(self, num: int, den: int):
         if self.p:
             return self.div(num % self.p, den % self.p)
-        return Fraction(num, den)
+        return _rational(Fraction(num, den))
 
     def is_zero(self, a) -> bool:
         return not a
@@ -137,10 +147,7 @@ class CoefficientField:
             a = a % self.p
             if a > self.p // 2:
                 a -= self.p
-            return str(a)
-        if a.denominator == 1:
-            return str(a.numerator)
-        return f"{a.numerator}/{a.denominator}"
+        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, CoefficientField) and self.p == other.p
@@ -440,7 +447,8 @@ class Polynomial:
             for ma, ca in self.coeffs.items():
                 for mb, cb in other.coeffs.items():
                     m = mono_mul(ma, mb)
-                    out[m] = out.get(m, Fraction(0)) + ca * cb
+                    out[m] = out.get(m, 0) + ca * cb
+            out = {m: _rational(c) for m, c in out.items()}
         return Polynomial(self.ring, {m: c for m, c in out.items() if c})
 
     def scale(self, c) -> "Polynomial":
@@ -661,24 +669,22 @@ def normalize(f: Polynomial, order: Optional[MonomialOrder] = None) -> Polynomia
     """Canonical scalar normalization.
 
     Over a prime field: monic.  Over the rationals: integer coefficients,
-    content 1, positive leading coefficient under the order.
+    content 1, positive leading coefficient under the order; an input that
+    is already normal is returned as it is.
     """
     if f.is_zero():
         return f
     F = f.ring.field
+    lc, _ = f.leading(order)
     if F.p:
-        lc, _ = f.leading(order)
         return f.scale(F.inv(lc))
-    denlcm = 1
-    for c in f.coeffs.values():
-        denlcm = denlcm * c.denominator // gcd(denlcm, c.denominator)
-    nums = [c.numerator * denlcm // c.denominator for c in f.coeffs.values()]
-    content = 0
-    for nv in nums:
-        content = gcd(content, nv)
-    scalar = Fraction(denlcm, content)
-    g = f.scale(scalar)
-    lc, _ = g.leading(order)
+    # the content of lowest-terms n_i/d_i is gcd(n_i) / lcm(d_i)
+    coeffs = f.coeffs.values()
+    scalar = Fraction(
+        lcm(*(c.denominator for c in coeffs)), gcd(*(c.numerator for c in coeffs))
+    )
     if lc < 0:
-        g = -g
-    return g
+        scalar = -scalar
+    if scalar == 1:
+        return f
+    return f.scale(_rational(scalar))

@@ -259,6 +259,26 @@ def test_order_flag(capsys):
     assert rep["results"]["groebner"] == ["a*b^2", "a*c^2", "b*c^2", "b^2*c"]
 
 
+def test_cli_answers_do_not_change_under_rational_rescaling(capsys, tmp_path):
+    """Scaling every form by 3/2 leaves the map unchanged, and scaling q
+    leaves the point unchanged, so every answer is the same."""
+    scaled = tmp_path / "plane_cubics_scaled.txt"
+    scaled.write_text(
+        "field 0\n"
+        "vars x0 x1 x2\n"
+        "ideal I: 3/2*x0^2*x1-3/2*x0*x2^2 3/2*x0*x1^2-3/2*x1*x2^2"
+        " 3/2*x0*x1*x2-3/2*x2^3 3/2*x0^3+3/2*x1^3+3/2*x2^3\n"
+        "point q: 0 0 0 1/3\n"
+    )
+    for command, *options in [
+        ("fiber", "--at", "q", "--kind", "all"),
+        ("spread",),
+        ("birational", "--trials", "5"),
+    ]:
+        want = run_json(capsys, command, CUBICS, *options)["results"]
+        assert run_json(capsys, command, str(scaled), *options)["results"] == want
+
+
 # -- golden JSON -------------------------------------------------------------
 
 GOLDEN = DATA / "golden"

@@ -1,11 +1,13 @@
 """Normal forms, Buchberger, reduced-basis canonicity, elimination, syzygies."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from rowfibers import (
     MonomialOrder,
+    Polynomial,
     eliminate_first,
     exact_divide,
     normal_form,
@@ -53,6 +55,21 @@ def test_normal_form_quotients_reassemble():
         for b in basis:
             lead = b.leading_monomial(order)
             assert not all(e >= l for e, l in zip(m, lead))
+
+
+def test_rational_division_never_gives_floats():
+    """Over Q an int coefficient divided by an int stays exact."""
+    RXY = ring(QQ, "x", "y")
+    assert repr(QQ.inv(2)) == repr(Fraction(1, 2))
+    assert repr(QQ.div(1, 3)) == repr(Fraction(1, 3))
+    x = Polynomial(RXY, {(1, 0): 1})
+    g = Polynomial(RXY, {(1, 0): 2, (0, 1): 1})
+    r = normal_form(x, [g])
+    assert r == RXY.parse("-1/2*y")
+    assert [type(c) for c in r.coeffs.values()] == [Fraction]
+    q = exact_divide(Polynomial(RXY, {(2, 0): 2, (1, 1): 1}), g)
+    assert q == RXY.parse("x")
+    assert [type(c) for c in q.coeffs.values()] == [int]
 
 
 def test_normal_form_is_ideal_membership():

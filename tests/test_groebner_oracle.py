@@ -69,6 +69,24 @@ def test_reduced_gb_matches_sympy_over_q(gens):
     assert ours(RQ, gens) == sympys(RQ, gens)
 
 
+def rational_generator():
+    """A polynomial of degree <= 2 with at least two terms, coefficients n/d."""
+    coeff = st.tuples(st.integers(-9, 9).filter(bool), st.integers(1, 6))
+    return st.dictionaries(st.sampled_from(EXPONENTS), coeff, min_size=2, max_size=4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(gens=st.lists(rational_generator(), min_size=1, max_size=3))
+def test_reduced_gb_with_fraction_coefficients_matches_sympy_over_q(gens):
+    polys = [
+        Polynomial(RQ, {m: QQ.from_fraction(n, d) for m, (n, d) in g.items()})
+        for g in gens
+    ]
+    gb = reduced_groebner_basis(polys, RQ.default_order)
+    exact = [{m: sympy.Rational(n, d) for m, (n, d) in g.items()} for g in gens]
+    assert sorted(g.text(gb.order) for g in gb) == sympys(RQ, exact)
+
+
 # -- linear forms: the reduced basis is a reduced row-echelon form -----------
 
 LINEAR = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]

@@ -1,6 +1,7 @@
 """Fields, monomial orders, polynomial arithmetic, parsing, rendering."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -227,6 +228,54 @@ def test_normalize_content_free_over_q():
     f = RQ.parse("-2/3*x - 4/3*y")
     g = normalize(f, RQ.default_order)
     assert g == RQ.parse("x + 2*y")
+
+
+rationals = st.tuples(st.integers(-50, 50), st.integers(1, 12))
+
+
+def is_canonical(c):
+    """An int when integral, a Fraction with denominator > 1 otherwise."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+@settings(max_examples=200)
+@given(a=rationals, b=rationals)
+def test_rational_operations_return_canonical_values(a, b):
+    F = QQ
+    x, y = F.from_fraction(*a), F.from_fraction(*b)
+    fx, fy = Fraction(*a), Fraction(*b)
+    values = [
+        (F.from_int(a[0]), a[0]),
+        (x, fx),
+        (F.add(x, y), fx + fy),
+        (F.sub(x, y), fx - fy),
+        (F.mul(x, y), fx * fy),
+        (F.neg(x), -fx),
+    ]
+    if fy:
+        values += [(F.inv(y), 1 / fy), (F.div(x, y), fx / fy)]
+    for got, want in values:
+        assert is_canonical(got), repr(got)
+        assert got == want
+
+
+nonzero_rationals = st.tuples(st.integers(-50, 50).filter(bool), st.integers(1, 12))
+rational_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * RQ.nvars), nonzero_rationals, min_size=1, max_size=5
+).map(lambda d: Polynomial(RQ, {m: QQ.from_fraction(*c) for m, c in d.items()}))
+
+
+@settings(max_examples=100)
+@given(f=rational_polys)
+def test_normalize_over_q_is_integral_content_free_and_idempotent(f):
+    order = RQ.default_order
+    g = normalize(f, order)
+    coeffs = list(g.coeffs.values())
+    assert all(type(c) is int for c in coeffs)
+    assert gcd(*coeffs) == 1
+    assert g.leading(order)[0] > 0
+    assert g == f.scale(QQ.div(g.leading(order)[0], f.leading(order)[0]))
+    assert normalize(g, order) is g
 
 
 def test_symmetric_coefficient_printing():
