@@ -276,7 +276,10 @@ def _linear_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder):
 
 
 def reduced_groebner_basis(
-    gens: Sequence[Polynomial], order: Optional[MonomialOrder] = None
+    gens: Sequence[Polynomial],
+    order: Optional[MonomialOrder] = None,
+    *,
+    free_of: int = 0,
 ) -> GroebnerBasis:
     """The unique reduced Groebner basis of the ideal generated by ``gens``.
 
@@ -284,6 +287,11 @@ def reduced_groebner_basis(
     result.  Elements are normalized (monic over a prime field; integral,
     content-free, positive leading coefficient over the rationals) and
     sorted by increasing leading monomial.
+
+    ``free_of=k`` requires ``order`` to be ``MonomialOrder.elimination(k)``
+    and returns only the elements free of the first k variables, the reduced
+    basis of the ideal's intersection with the trailing-variable subring;
+    the others are never tail-reduced (see ``eliminate_first``).
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -294,14 +302,26 @@ def reduced_groebner_basis(
         if g.ring != ring:
             raise RingMismatchError("generators live in different rings")
     order = order or ring.default_order
+    if free_of and order != MonomialOrder.elimination(free_of):
+        raise ValueError(f"free_of={free_of} needs the order elim({free_of})")
     if all(g.total_degree() <= 1 for g in gens):
-        return _linear_groebner_basis(gens, order)
+        gb = _linear_groebner_basis(gens, order)
+        if free_of:
+            gb = GroebnerBasis(
+                tuple(g for g, (_, m) in zip(gb, gb.leads) if not any(m[:free_of])),
+                order,
+            )
+        return gb
     basis = _buchberger(gens, order)
     # minimalize: in increasing lead order, keep only elements whose lead is
-    # not divisible by the lead of an already-kept element
+    # not divisible by the lead of an already-kept element; a head-free lead
+    # is divisible only by head-free leads, so dropping the others first
+    # keeps the same head-free elements
     ranked = sorted(
         ((g.leading(order), g) for g in basis), key=lambda p: order.key(p[0][1])
     )
+    if free_of:
+        ranked = [p for p in ranked if not any(p[0][1][:free_of])]
     minimal = []
     kept_leads = []
     for lead, g in ranked:
@@ -340,7 +360,18 @@ def eliminate_first(gens: Sequence[Polynomial], drop: int):
     """Generators of (gens) intersected with the trailing-variable subring.
 
     Computed via a Groebner basis for the block elimination order; returns
-    (small_ring, generators) with the generators expressed in the subring.
+    (small_ring, generators) with the generators expressed in the subring:
+    the elements of the reduced basis that are free of the first ``drop``
+    variables, in the basis's order.
+
+    Only those elements are minimalized and tail-reduced
+    (``reduced_groebner_basis(..., free_of=drop)``).  That is exact: in the
+    block order an element whose leading term is free of the first ``drop``
+    variables is free of them in every term, and such a term is divisible
+    only by free leading terms.  So the free part of the Buchberger basis is
+    a Groebner basis of the intersection (the elimination theorem), and
+    reducing it by itself gives exactly the free elements of the full
+    reduced basis.
     """
     if not gens:
         raise ValueError("need at least one generator (possibly zero)")
@@ -348,13 +379,9 @@ def eliminate_first(gens: Sequence[Polynomial], drop: int):
     if not 1 <= drop <= ring.nvars - 1:
         raise ValueError(f"drop count {drop} out of range for {ring.nvars} variables")
     order = MonomialOrder.elimination(drop)
-    gb = reduced_groebner_basis(gens, order)
+    gb = reduced_groebner_basis(gens, order, free_of=drop)
     small = PolyRing(ring.field, ring.variables[drop:], ring.default_order)
-    out = [
-        Polynomial(small, {m[drop:]: c for m, c in g.coeffs.items()})
-        for g in gb
-        if all(not any(m[:drop]) for m in g.coeffs)
-    ]
+    out = [Polynomial(small, {m[drop:]: c for m, c in g.coeffs.items()}) for g in gb]
     return small, out
 
 

@@ -179,7 +179,11 @@ class Ideal:
         """I intersect J, by eliminating t from t*I + (1-t)*J.
 
         Monomial ideals take the combinatorial route: the intersection is
-        generated by the pairwise lcms of the generators.
+        generated by the pairwise lcms of the generators.  Otherwise, when
+        one ideal contains the other, the intersection is the smaller one,
+        returned as it is: J when J is in I, else I when I is in J, decided
+        by normal forms against the Groebner bases the ideals cache.  The
+        elimination runs only when neither contains the other.
         """
         self._check(other)
         if self.is_zero() or other.is_zero():
@@ -187,6 +191,10 @@ class Ideal:
         a, b = self.monomial_exponents(), other.monomial_exponents()
         if a is not None and b is not None:
             return self._monomial_ideal([mono_lcm(x, y) for x in a for y in b])
+        if self.contains_ideal(other):
+            return other
+        if other.contains_ideal(self):
+            return self
         big, lift = _adjoin(self.ring, 1, front=True)
         t = big.gen(0)
         gens = [t * lift(f) for f in self.generators]
@@ -201,7 +209,9 @@ class Ideal:
     def colon_poly(self, f: Polynomial) -> "Ideal":
         """I : (f) via (I intersect (f)) divided through by f.
 
-        For a monomial ideal and a monomial f this is {g / gcd(g, f)}.
+        For a monomial ideal and a monomial f this is {g / gcd(g, f)}.  For
+        f in I the intersection is (f) itself, so the colon is (1) with no
+        elimination.
         """
         if f.is_zero():
             return Ideal(self.ring, [self.ring.one()])

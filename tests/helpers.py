@@ -9,9 +9,13 @@ from rowfibers import (
     CoefficientField,
     Ideal,
     MapContext,
+    MonomialOrder,
     PolyRing,
+    Polynomial,
     ProjectivePoint,
+    reduced_groebner_basis,
 )
+from rowfibers import groebner, ideals
 
 DATA = Path(__file__).parent / "data"
 
@@ -165,6 +169,45 @@ def saturate_by_iterated_colons(I, J):
         if nxt.equals(current):
             return current
         current = nxt
+
+
+def intersect_by_elimination(I, J):
+    """I intersect J by the textbook route, the reference for
+    ``Ideal.intersect``: the full reduced basis of t*I + (1 - t)*J in the
+    order eliminating t, keeping its t-free elements."""
+    R = I.ring
+    t = "t"
+    while t in R.variables:
+        t += "_"
+    big = PolyRing(R.field, [t, *R.variables], R.default_order)
+
+    def lift(f):
+        return Polynomial(big, {(0, *m): c for m, c in f.coeffs.items()})
+
+    tt = big.gen(0)
+    gens = [tt * lift(f) for f in I.generators]
+    gens += [(big.one() - tt) * lift(g) for g in J.generators]
+    gb = reduced_groebner_basis(gens, MonomialOrder.elimination(1))
+    return Ideal(R, [
+        Polynomial(R, {m[1:]: c for m, c in g.coeffs.items()})
+        for g in gb
+        if all(m[0] == 0 for m in g.coeffs)
+    ])
+
+
+def count_eliminations(monkeypatch):
+    """A list that grows by one at each ``eliminate_first`` call, patched in
+    both modules that name the function."""
+    calls = []
+    original = groebner.eliminate_first
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "eliminate_first", counted)
+    monkeypatch.setattr(ideals, "eliminate_first", counted)
+    return calls
 
 
 def same_members(I, J, probes):

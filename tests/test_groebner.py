@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rowfibers import (
     MonomialOrder,
@@ -171,6 +174,57 @@ def test_elimination_is_contraction():
     assert normal_form(
         small.parse("y*z^2-y^2"), gb_small.elements, small.default_order
     ).is_zero()
+
+
+R4P = ring(FP, "a", "b", "x", "y")
+R4Q = ring(QQ, "a", "b", "x", "y")
+
+
+@st.composite
+def elimination_input(draw, R):
+    """1-3 polynomials in a, b, x, y with 1-3 terms and coefficients in
+    -5..5, all of degree <= 1 (the linear route) or all of degree <= 2, with
+    0-2 zero polynomials inserted among them."""
+    top = draw(st.integers(1, 2))
+    monos = [m for m in product(range(top + 1), repeat=4) if sum(m) <= top]
+    terms = st.dictionaries(
+        st.sampled_from(monos), st.integers(-5, 5).filter(bool), min_size=1, max_size=3
+    )
+    gens = [
+        Polynomial(R, {m: R.field.from_int(c) for m, c in draw(terms).items()})
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        gens.insert(draw(st.integers(0, len(gens))), Polynomial(R, {}))
+    return gens
+
+
+@pytest.mark.parametrize("R", [R4P, R4Q], ids=["fp", "q"])
+@pytest.mark.parametrize("drop", [1, 2])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_elimination_keeps_the_head_free_reduced_elements(R, drop, data):
+    """eliminate_first reduces only the elements free of the dropped
+    variables; they must be exactly those of the full reduced basis in the
+    same elimination order, element for element."""
+    gens = data.draw(elimination_input(R))
+    small, out = eliminate_first(gens, drop)
+    full = reduced_groebner_basis(gens, MonomialOrder.elimination(drop))
+    expected = [
+        {m[drop:]: c for m, c in g.coeffs.items()}
+        for g in full
+        if all(not any(m[:drop]) for m in g.coeffs)
+    ]
+    assert small.variables == R.variables[drop:]
+    assert [g.coeffs for g in out] == expected
+
+
+def test_free_of_needs_its_elimination_order():
+    gens = [R4P.parse("a*x - y^2"), R4P.parse("b*y - x")]
+    with pytest.raises(ValueError, match="elim"):
+        reduced_groebner_basis(gens, R4P.default_order, free_of=1)
+    with pytest.raises(ValueError, match="elim"):
+        reduced_groebner_basis(gens, MonomialOrder.elimination(2), free_of=1)
 
 
 # -- syzygies ----------------------------------------------------------------

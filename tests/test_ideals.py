@@ -19,7 +19,9 @@ from rowfibers.groebner import _Echelon, _buchberger
 from helpers import (
     FP,
     QQ,
+    count_eliminations,
     ideal,
+    intersect_by_elimination,
     monomials_up_to,
     oracle_colon_member,
     oracle_saturate_member,
@@ -319,6 +321,115 @@ def test_saturation_by_an_ideal_matches_iterated_colons(R, data):
     equal I : J : J : ... until the chain repeats."""
     I, J = data.draw(ideal_and_saturating_ideal(R))
     assert I.saturate(J).equals(saturate_by_iterated_colons(I, J))
+
+
+def draw_form(draw, R):
+    """A nonzero form of degree 0 or 1."""
+    d = draw(st.integers(0, 1))
+    return draw_poly(draw, R, [m for m in LOW if sum(m) == d], 1)
+
+
+@st.composite
+def nonmonomial_ideal(draw, R):
+    """1-2 polynomials of degree <= 2 in x, y, z, not all single terms."""
+    gens = [draw_poly(draw, R, LOW, 1) for _ in range(draw(st.integers(1, 2)))]
+    assume(any(len(g.coeffs) > 1 for g in gens))
+    return Ideal(R, gens)
+
+
+@st.composite
+def intersection_pair(draw, R):
+    """Two ideals, at least one of them non-monomial, in either order.  Four
+    kinds in five are nested, so that the containment rule of
+    ``Ideal.intersect`` fires: I*J against I, I against I + J, I against
+    itself with permuted and recombined generators, and I against (g*h) for
+    g a generator of I and h a form of degree <= 1.  The fifth kind draws
+    the two ideals independently."""
+    I, J = draw(nonmonomial_ideal(R)), draw(nonmonomial_ideal(R))
+    kind = draw(st.sampled_from(["product", "sum", "reshuffled", "member", "free"]))
+    if kind == "product":
+        pair = (I * J, I)
+    elif kind == "sum":
+        pair = (I, I + J)
+    elif kind == "reshuffled":
+        first, *rest = draw(st.permutations(I.generators))
+        c = R.field.from_int(draw(st.integers(-3, 3)))
+        pair = (I, Ideal(R, [*(g + first.scale(c) for g in rest), first]))
+    elif kind == "member":
+        g = draw(st.sampled_from(I.generators))
+        pair = (I, Ideal(R, [g * draw_form(draw, R)]))
+    else:
+        pair = (I, J)
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
+@pytest.mark.parametrize("R", [RP, RQ], ids=["fp", "q"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_intersection_matches_the_elimination_route(R, data):
+    """The containment rule and the head-free elimination must give the
+    ideal of the textbook route, the full reduced basis of t*I + (1 - t)*J
+    with its t-free elements kept."""
+    I, J = data.draw(intersection_pair(R))
+    assert I.intersect(J).equals(intersect_by_elimination(I, J))
+
+
+def nf_member(f, I):
+    """f in I, decided by the normal form against I's reduced basis."""
+    gb = I.groebner()
+    return normal_form(f, gb.elements, gb.order).is_zero()
+
+
+@pytest.mark.parametrize("R", [RP, RQ], ids=["fp", "q"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_intersection_lies_between_product_and_factors(R, data):
+    """I*J is in I meet J, which is in I and in J."""
+    I, J = data.draw(intersection_pair(R))
+    meet = I.intersect(J)
+    assert all(nf_member(g, meet) for g in (I * J).generators)
+    assert all(nf_member(g, I) and nf_member(g, J) for g in meet.generators)
+
+
+@st.composite
+def colon_and_probes(draw, R):
+    """I = A*J (+ B), J, and probes f = a*h + r with a a generator of A or
+    of I, h a form of degree <= 1 and r zero or a random polynomial, so that
+    f lies in I : J when r = 0 and mostly not otherwise."""
+    A, J = draw(nonmonomial_ideal(R)), draw(nonmonomial_ideal(R))
+    I = A * J
+    if draw(st.booleans()):
+        I = I + Ideal(R, [draw_poly(draw, R, LOW, 1)])
+    probes = []
+    for _ in range(3):
+        a = draw(st.sampled_from(A.generators + I.generators))
+        f = a * draw_form(draw, R)
+        if draw(st.booleans()):
+            f = f + draw_poly(draw, R, LOW, 1)
+        probes.append(f)
+    return I, J, probes
+
+
+@pytest.mark.parametrize("R", [RP, RQ], ids=["fp", "q"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_colon_membership_is_its_definition(R, data):
+    """f in I : J iff f*g in I for every generator g of J."""
+    I, J, probes = data.draw(colon_and_probes(R))
+    colon = I.colon(J)
+    for f in probes:
+        assert nf_member(f, colon) == all(nf_member(f * g, I) for g in J.generators)
+
+
+@pytest.mark.parametrize("R", [RP, RQ], ids=["fp", "q"])
+def test_colon_by_a_member_runs_no_elimination(R, monkeypatch):
+    """I meet (f) is (f) for f in I, so I : f is (1) with no elimination."""
+    calls = count_eliminations(monkeypatch)
+    I = ideal(R, "x^2 - y*z", "x*y + z^2")
+    g, h = I.generators
+    f = g * R.parse("x + z") + h * R.parse("y")
+    assert I.colon_poly(f).is_unit()
+    assert calls == []
 
 
 def test_colon_and_saturation_agree_with_oracle():
