@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 from .groebner import _Echelon, syzygy_generators
 from .ideals import UNIT_CODIM, Ideal, _adjoin
+from .polyring import Polynomial
 from .syzygy import (
     PresentationMatrix,
     _check_syzygies,
@@ -271,13 +272,34 @@ class MapContext:
 
     def _sampled_fibers(self, label: str, trials: int):
         """Yield (p, I_phi(p) : I^infty) for ``trials`` random source points
-        p, drawn lazily from the RNG split under ``label``."""
+        p, drawn lazily from the RNG split under ``label``.
+
+        With q = phi(p), j its pivot and I_p the ideal of the point p, the
+        fiber is I_p itself when l*g_j lies in I_q for each of the n linear
+        forms l that span I_p.  Then I_p <= I_q : g_j <= I_q : g_j^infty,
+        and that saturation lies in I_p, since I_q <= I_p, g_j(p) = q_j != 0
+        and I_p is prime.  I_q is generated by forms of degree d, so a form
+        of degree d+1 lies in it iff it lies in the span of the x_k*h_i over
+        the variables x_k and the generators h_i of I_q: one exact echelon
+        reduction, in any monomial order.  Only where that fails is the
+        fiber computed by elimination, as I_q : g_j^infty.
+        """
         if trials < 1:
             raise ValueError("need at least one trial")
+        F = self.ring.field
         rng = self.rng(label)
         for _ in range(trials):
             p = self.random_source_point(rng)
-            yield p, self.morphism_fiber_ideal(self.evaluate_map(p))
+            I_q, g_j = self._subspace_and_pivot(self.evaluate_map(p))
+            point = _point_ideal(self.ring, p.coords)
+            span = _Echelon(F, self.ring.default_order.key)
+            for x in _unit_exponents(self.n + 1):
+                for h in I_q.generators:
+                    span.add(h.mul_term(F.one, x).coeffs)
+            if any(span.reduce((l * g_j).coeffs) for l in point.generators):
+                yield p, I_q.saturate(Ideal(self.ring, [g_j]))
+            else:
+                yield p, point
 
     def analytic_spread(self, trials: int = 3):
         """Analytic spread by general-point sampling: 1 + codim(I_phi(p) : I^inf).
@@ -570,6 +592,27 @@ class FiberReport:
 # ---------------------------------------------------------------------------
 # Small exact linear algebra over the coefficient field
 # ---------------------------------------------------------------------------
+
+
+def _unit_exponents(count: int) -> list:
+    """The exponent tuples of the variables of a ring with ``count`` of them."""
+    return [tuple(int(i == k) for i in range(count)) for k in range(count)]
+
+
+def _point_ideal(ring, coords) -> Ideal:
+    """I_p, generated by the n forms p_b*x_a - p_a*x_b (a != b) for b the
+    first nonzero coordinate of p."""
+    F = ring.field
+    b = next(k for k, c in enumerate(coords) if not F.is_zero(c))
+    x = _unit_exponents(len(coords))
+    forms = []
+    for a, c in enumerate(coords):
+        if a != b:
+            form = {x[a]: coords[b]}
+            if not F.is_zero(c):
+                form[x[b]] = F.neg(c)
+            forms.append(Polynomial(ring, form))
+    return Ideal(ring, forms)
 
 
 def _sparse_row(F, values) -> dict:

@@ -312,7 +312,13 @@ def reduced_groebner_basis(
                 order,
             )
         return gb
-    basis = _buchberger(gens, order)
+    return _interreduce(_buchberger(gens, order), order, free_of)
+
+
+def _interreduce(basis: Sequence[Polynomial], order: MonomialOrder, free_of: int = 0):
+    """The reduced Groebner basis of the ideal of ``basis``, which must
+    already be a Groebner basis in ``order``: minimalize, then tail-reduce.
+    ``free_of`` is as in ``reduced_groebner_basis``."""
     # minimalize: in increasing lead order, keep only elements whose lead is
     # not divisible by the lead of an already-kept element; a head-free lead
     # is divisible only by head-free leads, so dropping the others first

@@ -10,12 +10,14 @@ from typing import Optional, Sequence
 from .groebner import (
     GroebnerBasis,
     _Echelon,
+    _interreduce,
     eliminate_first,
     exact_divide,
     normal_form,
     reduced_groebner_basis,
 )
 from .polyring import (
+    MonomialOrder,
     PolyRing,
     Polynomial,
     RingMismatchError,
@@ -224,7 +226,14 @@ class Ideal:
                 [tuple(max(g - m, 0) for g, m in zip(e, fm)) for e in exps]
             )
         meet = self.intersect(Ideal(self.ring, [f]))
-        return Ideal(self.ring, [exact_divide(g, f) for g in meet.generators])
+        out = Ideal(self.ring, [exact_divide(g, f) for g in meet.generators])
+        gb = meet._gb
+        if gb is not None and gb.elements == meet.generators:
+            # every element of meet is a multiple of f, so lm(g/f) =
+            # lm(g)/lm(f) and meet's basis divided by f is a Groebner basis
+            # of I : f; only its tails and scalars need reducing
+            out._gb = _interreduce(out.generators, gb.order)
+        return out
 
     def _saturate_poly(self, f: Polynomial) -> "Ideal":
         """I : f^infty = (I, 1 - t*f) intersect k[x], one elimination; for a
@@ -276,7 +285,12 @@ class Ideal:
             )
             return Ideal(small, [])
         small, out = eliminate_first(list(self.generators), drop_count)
-        return Ideal(small, out)
+        result = Ideal(small, out)
+        if small.default_order.kind == MonomialOrder.GREVLEX:
+            # the elimination order is grevlex on the kept block, so its
+            # head-free reduced elements are the reduced basis in the subring
+            result._gb = GroebnerBasis(result.generators, small.default_order)
+        return result
 
     # -- dimension ----------------------------------------------------------
 
@@ -316,8 +330,13 @@ class Ideal:
     def is_linear(self) -> bool:
         """True iff the reduced GB consists of forms of degree <= 1.
 
-        The zero ideal counts as linear; the unit ideal does not.
+        The zero ideal counts as linear; the unit ideal does not.  When every
+        generator is a form of degree 1 the answer is True with no basis:
+        the reduced basis is then the generators' echelon form, and the
+        ideal lies in the maximal homogeneous ideal, so it is proper.
         """
+        if all(g.homogeneity() == (True, 1) for g in self.generators):
+            return True
         if self.is_unit():
             return False
         return all(g.total_degree() <= 1 for g in self.groebner())

@@ -3,6 +3,7 @@ and matrix rank modulo a linear ideal."""
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .groebner import (
@@ -83,8 +84,26 @@ class PresentationMatrix:
 
     # -- generalized rows ----------------------------------------------------
 
+    @cached_property
+    def _column_terms(self) -> tuple:
+        """Per column, each monomial with the (row, coefficient) pairs of
+        the entries that hold it."""
+        tables = []
+        for col in self.columns:
+            table: dict = {}
+            for i, entry in enumerate(col):
+                for m, c in entry.coeffs.items():
+                    table.setdefault(m, []).append((i, c))
+            tables.append(table)
+        return tuple(tables)
+
     def generalized_row(self, coords: Sequence):
-        """The coords-weighted combination of rows: (sum_i q_i * A[i][j])_j."""
+        """The coords-weighted combination of rows: (sum_i q_i * A[i][j])_j.
+
+        Each coefficient of entry j is one dot product of coords with the
+        coefficients of that monomial down column j, read from a table
+        built once per matrix.
+        """
         F = self.ring.field
         if len(coords) != self.row_count:
             raise ValueError(
@@ -93,12 +112,15 @@ class PresentationMatrix:
         if all(F.is_zero(c) for c in coords):
             raise ValueError("point coordinates are all zero")
         out = []
-        for col in self.columns:
-            acc = self.ring.zero()
-            for q, entry in zip(coords, col):
-                if not F.is_zero(q):
-                    acc = acc + entry.scale(q)
-            out.append(acc)
+        for table in self._column_terms:
+            acc = {}
+            for m, pairs in table.items():
+                v = F.zero
+                for i, c in pairs:
+                    v = F.add(v, F.mul(coords[i], c))
+                if not F.is_zero(v):
+                    acc[m] = v
+            out.append(Polynomial(self.ring, acc))
         return tuple(out)
 
     def generalized_row_ideal(self, coords: Sequence) -> Ideal:

@@ -213,3 +213,17 @@ def count_eliminations(monkeypatch):
 def same_members(I, J, probes):
     """True iff I and J contain exactly the same polynomials from probes."""
     return all(I.contains(m) == J.contains(m) for m in probes)
+
+
+def generalized_row_by_scaling(A, coords):
+    """(sum_i q_i * A[i][j])_j by scaling and adding whole entries, the
+    reference for ``PresentationMatrix.generalized_row``."""
+    F = A.ring.field
+    out = []
+    for col in A.columns:
+        acc = A.ring.zero()
+        for q, entry in zip(coords, col):
+            if not F.is_zero(q):
+                acc = acc + entry.scale(q)
+        out.append(acc)
+    return tuple(out)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rowfibers import (
     BasePointError,
+    CoefficientField,
     Ideal,
     MapContext,
     ProjectivePoint,
@@ -21,6 +22,7 @@ from helpers import (
     QQ,
     DATA,
     all_monomials,
+    count_eliminations,
     double_cover_context,
     e_point,
     ideal,
@@ -282,6 +284,62 @@ def test_birationality_goldens():
     # the general fiber of the cover map is a single reduced point too
     ok, cert = monomial_cover_context().birationality_test()
     assert ok and cert["codimension"] == 3
+
+
+F7 = CoefficientField(7)
+
+
+@st.composite
+def sampled_map(draw, field):
+    """A map of P^1 by 3 or 4 forms of degree 2 or 3, or of P^2 by 3 or 4
+    quadrics, not all monomials, with a random seed.  One draw in two takes
+    its forms in the squares of the variables only, so that the map factors
+    through (x_0^2 : ... : x_n^2) and is not birational."""
+    nvars = draw(st.integers(2, 3))
+    R = ring(field, *[f"x{i}" for i in range(nvars)])
+    squares = draw(st.booleans())
+    degree = 2 if nvars == 3 else draw(st.integers(2, 3)) * (2 if squares else 1)
+    monos = [next(iter(m.coeffs)) for m in all_monomials(R, degree)]
+    if squares:
+        monos = [m for m in monos if not any(e % 2 for e in m)]
+    coeff = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    forms = draw(st.lists(
+        st.dictionaries(st.sampled_from(monos), coeff, min_size=1, max_size=3),
+        min_size=3, max_size=4,
+    ))
+    assume(any(len(f) > 1 for f in forms))
+    gens = [Polynomial(R, {m: field.from_int(c) for m, c in f.items()}) for f in forms]
+    try:
+        return MapContext(Ideal(R, gens), seed=draw(st.integers(0, 999)))
+    except ValueError:  # a common factor, or fewer than two independent forms
+        assume(False)
+
+
+@pytest.mark.parametrize("field", [FP, QQ, F7], ids=["fp", "q", "f7"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_sampled_fibers_match_the_elimination_route(field, data):
+    """At each sampled p the fiber, whether certified as I_p by degree-(d+1)
+    linear algebra or not, is the saturation I_q : g_j^infty."""
+    ctx = data.draw(sampled_map(field))
+    for p, K in ctx._sampled_fibers("test", 3):
+        I_q, g_j = ctx._subspace_and_pivot(ctx.evaluate_map(p))
+        assert K.equals(I_q.saturate(Ideal(ctx.ring, [g_j])))
+
+
+def test_birational_samples_run_no_elimination(monkeypatch):
+    """A birational map's sampled fibers are certified as points; the double
+    cover's fail the certificate and are each one elimination."""
+    calls = count_eliminations(monkeypatch)
+    for make, birational, eliminations in (
+        (quartic_context, True, 0),
+        (plane_cubics_context, True, 0),
+        (double_cover_context, False, 5),
+    ):
+        ctx = make()
+        calls.clear()
+        ok, _ = ctx.birationality_test(5)
+        assert ok == birational and len(calls) == eliminations
 
 
 def test_birationality_certificate():

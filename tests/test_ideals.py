@@ -9,11 +9,15 @@ from hypothesis import strategies as st
 from rowfibers import (
     Ideal,
     MapContext,
+    MonomialOrder,
+    PolyRing,
     Polynomial,
     UNIT_CODIM,
     RingMismatchError,
     normal_form,
+    reduced_groebner_basis,
 )
+from rowfibers import groebner
 from rowfibers.groebner import _Echelon, _buchberger
 
 from helpers import (
@@ -133,6 +137,18 @@ def test_is_linear():
     assert not ideal(RQ, "1").is_linear()
     # linearity is a property of the ideal, not the given generators
     assert ideal(RQ, "x + y", "x^2 + x*y + z").is_linear()
+
+
+def test_is_linear_of_mixed_degrees_computes_the_basis(monkeypatch):
+    """Only generators that are all forms of degree 1 skip the basis."""
+    calls = []
+    original = groebner._buchberger
+    monkeypatch.setattr(
+        groebner, "_buchberger", lambda *args: calls.append(args) or original(*args)
+    )
+    assert ideal(RQ, "x + y", "x^2 + x*y + z").is_linear()
+    assert not ideal(RQ, "x + y", "x^2 + z^2").is_linear()
+    assert len(calls) == 2
 
 
 def test_minimal_generators():
@@ -419,6 +435,45 @@ def test_colon_membership_is_its_definition(R, data):
     colon = I.colon(J)
     for f in probes:
         assert nf_member(f, colon) == all(nf_member(f * g, I) for g in J.generators)
+
+
+@pytest.mark.parametrize("R", [RP, RQ], ids=["fp", "q"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_is_linear_matches_the_basis_route(R, data):
+    """On ideals of 1-4 polynomials of degree <= 1, either all forms of
+    degree 1 (answered without a basis) or with constants allowed, is_linear
+    agrees with the reduced basis: proper, and of degree <= 1."""
+    degrees = data.draw(st.sampled_from([(1,), (0, 1)]))
+    monos = [m for m in LOW if sum(m) in degrees]
+    I = Ideal(R, [draw_poly(data.draw, R, monos, 1) for _ in range(data.draw(st.integers(1, 4)))])
+    gb = reduced_groebner_basis(I.generators, R.default_order)
+    unit = len(gb) == 1 and gb.elements[0].total_degree() == 0
+    assert I.is_linear() == (not unit and all(g.total_degree() <= 1 for g in gb))
+
+
+@pytest.mark.parametrize("R", [RP, RQ], ids=["fp", "q"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_installed_bases_are_the_reduced_bases(R, data):
+    """An elimination installs its output as the ideal's basis, and a colon
+    by one form installs the eliminated meet's basis divided by the form and
+    tail-reduced; each must be the reduced basis Buchberger gives afresh."""
+    I, f = data.draw(ideal_and_form(R))
+    J = data.draw(nonmonomial_ideal(R))
+    for out in (I.colon_poly(f), I.saturate(Ideal(R, [f])), I.intersect(J), I.colon(J)):
+        if out._gb is not None:
+            assert out._gb == reduced_groebner_basis(out.generators, R.default_order)
+
+
+def test_installed_bases_only_under_grevlex():
+    """The elimination order is grevlex on the kept variables, so a lex
+    ring's eliminations install no basis."""
+    for R, installed in ((RQ, True), (PolyRing(QQ, ["x", "y", "z"], MonomialOrder.lex()), False)):
+        I = ideal(R, "x^2 - y*z", "x*y + z^2")
+        f = R.parse("x + y")
+        assert (I.colon_poly(f)._gb is not None) == installed
+        assert (I.saturate(Ideal(R, [f]))._gb is not None) == installed
 
 
 @pytest.mark.parametrize("R", [RP, RQ], ids=["fp", "q"])

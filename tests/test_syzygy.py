@@ -26,6 +26,7 @@ from helpers import (
     FP,
     FPI,
     QQ,
+    generalized_row_by_scaling,
     ideal,
     monomial_cover_context,
     quartic_context,
@@ -100,6 +101,38 @@ def test_standard_point_rows_are_matrix_rows():
         coords = [FP.zero] * A.row_count
         coords[i] = FP.one
         assert tuple(A.generalized_row(coords)) == A.row(i)
+
+
+@st.composite
+def koszul_matrix_and_point(draw, field):
+    """Koszul columns f_j*e_i - f_i*e_j of 2-4 forms in x, y, z, each times a
+    form of degree 0 or 1, and a point whose coordinates are in -3..3, zeros
+    included."""
+    R = ring(field, "x", "y", "z")
+    gens = draw(homogeneous_gens(R))
+    pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
+    columns = []
+    for i, j in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4)):
+        d = draw(st.integers(0, 1))
+        monos = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+        m = Polynomial(R, {e: field.from_int(c) for e, c in draw(st.dictionaries(
+            st.sampled_from(monos), st.integers(-5, 5).filter(bool), min_size=1, max_size=3,
+        )).items()})
+        col = [R.zero()] * len(gens)
+        col[i], col[j] = gens[j] * m, -(gens[i] * m)
+        columns.append(col)
+    coords = draw(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)).filter(any))
+    return PresentationMatrix(gens, columns), [field.from_int(c) for c in coords]
+
+
+@pytest.mark.parametrize("field", [FP, QQ], ids=["fp", "q"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_generalized_row_matches_the_scaling_reference(field, data):
+    """The per-column table gives the row that scaling and adding whole
+    entries gives."""
+    A, coords = data.draw(koszul_matrix_and_point(field))
+    assert A.generalized_row(coords) == generalized_row_by_scaling(A, coords)
 
 
 # -- matrix text format ------------------------------------------------------
