@@ -15,18 +15,18 @@ failures (never silent resampling past the bound).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 from operator import neg
 from typing import Optional, Sequence
 
-from .groebner import _Echelon, syzygy_generators
+from .groebner import _Echelon
 from .ideals import UNIT_CODIM, Ideal, _adjoin
 from .polyring import Polynomial
 from .syzygy import (
     PresentationMatrix,
     _check_syzygies,
     minimal_presentation,
-    minimize_columns,
     rank_modulo_linear_ideal,
 )
 
@@ -61,7 +61,7 @@ class ProjectivePoint:
     """A point of projective space; equality is up to a nonzero scalar."""
 
     def __init__(self, field, coords: Sequence):
-        coords = tuple(field.from_int(c) if isinstance(c, int) else c for c in coords)
+        coords = tuple(_coordinate(field, c) for c in coords)
         if all(field.is_zero(c) for c in coords):
             raise ValueError("projective point must have a nonzero coordinate")
         self.field = field
@@ -161,11 +161,17 @@ class MapContext:
             f"no point off V(I) found in {RETRY_BOUND} draws; field too small or I too fat"
         )
 
+    def _check_point(self, p: ProjectivePoint, count: int) -> None:
+        """Raise ValueError unless p has ``count`` coordinates in the ring's field."""
+        if p.field != self.ring.field:
+            raise ValueError(f"point {p!r} is over {p.field!r}, the map over {self.ring.field!r}")
+        if len(p.coords) != count:
+            raise ValueError(f"point {p!r} has {len(p.coords)} coordinates, expected {count}")
+
     def evaluate_map(self, p: ProjectivePoint) -> ProjectivePoint:
         """phi(p) = (g_0(p) : ... : g_r(p)); errors on base points."""
         F = self.ring.field
-        if len(p.coords) != self.n + 1:
-            raise ValueError("point lives in the wrong projective space")
+        self._check_point(p, self.n + 1)
         vals = [g.evaluate(p.coords) for g in self.generators]
         if all(F.is_zero(v) for v in vals):
             raise BasePointError(f"{p!r} lies in the base locus V(I)")
@@ -186,8 +192,7 @@ class MapContext:
         contains I_q*I^(d-1) is its colon by the one form g_j^d.
         """
         F = self.ring.field
-        if len(q.coords) != self.r + 1:
-            raise ValueError("target point has the wrong coordinate count")
+        self._check_point(q, self.r + 1)
         qc = q.coords
         j = next(k for k, c in enumerate(qc) if not F.is_zero(c))
         gens = []
@@ -345,6 +350,7 @@ class MapContext:
         """
         if len(A.generators) != self.r + 1:
             raise ValueError("matrix row count does not match the generator count")
+        self._check_point(q, self.r + 1)
         _check_syzygies(self.generators, A.columns)
         A_q = A.generalized_row_ideal(q.coords)
         if A_q.is_zero():
@@ -425,20 +431,20 @@ class MapContext:
     ) -> "PointPresentation":
         """A presentation of I^d whose rows correspond to fibers through points.
 
-        Samples (or accepts) N+1 points off V(I) whose evaluation matrix E on
-        the power basis is invertible, rebases the generators so that
-        h_i(p_k) = delta_ik, and transforms a minimal syzygy matrix into that
-        basis; row i then has row ideal equal to power_row_ideal at p_i.
+        Samples (or accepts) N+1 points p_k off V(I) whose evaluation matrix
+        E = (f_j(p_k)) on the minimal generators f_j of I^d is invertible.
+        Row i is the generalized row of the minimal presentation of I^d at
+        E[i] = phi_d(p_i), so its row ideal is power_row_ideal at p_i, and
+        the generators are the Lagrange basis: h_i(p_k) = delta_ik.
         """
-        ctx_d = self.power_context(d)
-        basis = list(ctx_d.generators)
+        basis, A = minimal_presentation(self.power_context(d).ideal)
         N1 = len(basis)
         F = self.ring.field
-        rng = self.rng(f"point_presentation/{d}")
-        span = _Echelon(F, neg)
         if points is None:
+            rng = self.rng(f"point_presentation/{d}")
+            span = _Echelon(F, neg)
             points = []
-            rows = []
+            E = []
             draws = 0
             while len(points) < N1:
                 draws += 1
@@ -452,36 +458,28 @@ class MapContext:
                 row = [f.evaluate(aff) for f in basis]
                 if span.add(_sparse_row(F, row)):
                     points.append(p)
-                    rows.append(row)
-            E = rows
+                    E.append(row)
         else:
             points = list(points)
+            for p in points:
+                self._check_point(p, self.n + 1)
             if len(points) != N1:
                 raise ValueError(f"need exactly {N1} points, got {len(points)}")
             E = [[f.evaluate(p.normalized()) for f in basis] for p in points]
-            if not all(span.add(_sparse_row(F, r)) for r in E):
-                raise ValueError("evaluation matrix of the supplied points is singular")
-        # h = (E^T)^{-1} f  gives  h_i(p_k) = delta_ik
-        ET_inv = _field_inverse(F, [[E[k][i] for k in range(N1)] for i in range(N1)])
-        new_gens = []
-        for i in range(N1):
-            acc = self.ring.zero()
-            for j in range(N1):
-                if not F.is_zero(ET_inv[i][j]):
-                    acc = acc + basis[j].scale(ET_inv[i][j])
-            new_gens.append(acc)
-        columns = minimize_columns(basis, syzygy_generators(basis))
-        new_columns = []
-        for col in columns:
-            new_col = []
-            for i in range(N1):
-                acc = self.ring.zero()
-                for j in range(N1):
-                    if not F.is_zero(E[i][j]):
-                        acc = acc + col[j].scale(E[i][j])
-                new_col.append(acc)
-            new_columns.append(tuple(new_col))
-        matrix = PresentationMatrix(new_gens, new_columns)
+        # One echelon of the rows (f_j(p_0), ..., f_j(p_N) | f_j), with the
+        # value columns (ints) pivoting before the monomial columns: when E
+        # is invertible, the reduced row whose pivot is point i is (e_i | h_i).
+        lagrange = _Echelon(F, lambda col: isinstance(col, int))
+        for j, f in enumerate(basis):
+            lagrange.add({**_sparse_row(F, [row[j] for row in E]), **f.coeffs})
+        if any(i not in lagrange.rows for i in range(N1)):
+            raise ValueError("evaluation matrix of the supplied points is singular")
+        gens = [
+            Polynomial(self.ring, {m: c for m, c in lagrange.rows[i].items() if m != i})
+            for i in range(N1)
+        ]
+        rows = [A.generalized_row(e) for e in E]
+        matrix = PresentationMatrix(gens, list(zip(*rows)))
         return PointPresentation(matrix, tuple(points), d)
 
     # -- linear generalized rows --------------------------------------------
@@ -615,17 +613,15 @@ def _point_ideal(ring, coords) -> Ideal:
     return Ideal(ring, forms)
 
 
+def _coordinate(field, c):
+    """An int or a Fraction as an element of ``field``; anything else as given."""
+    if isinstance(c, int):
+        return field.from_int(c)
+    if isinstance(c, Fraction):
+        return field.from_fraction(c.numerator, c.denominator)
+    return c
+
+
 def _sparse_row(F, values) -> dict:
     return {j: x for j, x in enumerate(values) if not F.is_zero(x)}
 
-
-def _field_inverse(F, M):
-    """M^-1 for an invertible square matrix M, read off the reduced form of [M | I]."""
-    n = len(M)
-    # neg makes the leftmost nonzero column the pivot, so M's columns come first
-    ech = _Echelon(F, neg)
-    for i, row in enumerate(M):
-        ech.add({**_sparse_row(F, row), n + i: F.one})
-    if any(c not in ech.rows for c in range(n)):
-        raise ValueError("matrix is singular")
-    return [[ech.rows[c].get(n + j, F.zero) for j in range(n)] for c in range(n)]

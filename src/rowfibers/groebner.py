@@ -18,8 +18,9 @@ at most 1: the leading terms of a row-echelon form are distinct variables,
 so every S-pair is coprime, and the reduced basis is the reduced echelon
 form with columns ordered by the monomial order (or ``(1)`` once a constant
 becomes a pivot).  The basis is canonical, so the result is the one
-Buchberger gives.  ``Ideal.minimal_generators``, ``minimize_columns`` and the
-point selection of ``MapContext.point_presentation`` use the same class,
+Buchberger gives.  ``Ideal.minimal_generators``, ``minimize_columns``, the
+sampled-fiber test of ``MapContext._sampled_fibers``, and the point selection
+and Lagrange basis of ``MapContext.point_presentation`` use the same class,
 because inside one degree, membership in an ideal or module generated by
 forms of that degree is membership in their k-span.
 """

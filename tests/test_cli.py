@@ -294,9 +294,9 @@ def test_cli_answers_do_not_change_under_rational_rescaling(capsys, tmp_path):
 
 GOLDEN = DATA / "golden"
 
-# every README invocation, plus the fiber kinds, spread and birationality on
-# the plane cubics over Q and on the monomial cover, and colon and saturation
-# of non-monomial ideals over Q
+# every README invocation, plus the fiber kinds, spread, birationality and the
+# point presentation on the plane cubics over Q, spread and birationality on
+# the monomial cover, and colon and saturation of non-monomial ideals over Q
 GOLDEN_INVOCATIONS = [
     ("fiber", "monomial_cover.txt", "--at", "q", "--kind", "all"),
     ("spread", "quartic_curve.txt", "--trials", "5"),
@@ -313,6 +313,7 @@ GOLDEN_INVOCATIONS = [
     ("fiber", "plane_cubics.txt", "--at", "q", "--kind", "morphism"),
     ("spread", "plane_cubics.txt"),
     ("birational", "plane_cubics.txt"),
+    ("point-presentation", "plane_cubics.txt"),
     ("spread", "monomial_cover.txt"),
     ("birational", "monomial_cover.txt"),
     ("colon", "conic_torsion.txt", "I", "J"),

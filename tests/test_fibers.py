@@ -1,7 +1,9 @@
 """Map contexts, the four fiber ideals, analytic spread, birationality,
 the syzygy-rank bound, and the power / point-presentation machinery."""
 
+import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -35,7 +37,7 @@ from helpers import (
     saturate_by_iterated_colons,
     twisted_cubic_context,
 )
-from rowfibers import Polynomial, matrix_from_rows, parse_matrix_rows
+from rowfibers import Polynomial, matrix_from_rows, minimal_presentation, parse_matrix_rows
 
 
 # -- context validation ------------------------------------------------------
@@ -68,6 +70,31 @@ def test_projective_points():
     with pytest.raises(ValueError):
         ProjectivePoint(FP, [0, 0])
     assert e_point(FP, 3, 1).normalized() == (FP.zero, FP.one, FP.zero)
+    # Fraction coordinates are taken into the field, as the CLI's parser does
+    assert ProjectivePoint(FP, [Fraction(1, 2), 1]) == ProjectivePoint(FP, [1, 2])
+    assert ProjectivePoint(FP, [Fraction(-1, 3), 1]).coords == (FP.from_fraction(-1, 3), 1)
+    # over Q an integral Fraction becomes an int, the field's canonical form
+    coords = ProjectivePoint(QQ, [Fraction(4, 2), Fraction(1, 2)]).coords
+    assert [type(c) for c in coords] == [int, Fraction]
+
+
+def test_points_must_lie_in_the_space_and_field_of_the_map():
+    ctx = quartic_context()  # P^1 -> P^3 over F_32003
+    A = minimal_presentation(ctx.ideal)[1]
+    with pytest.raises(ValueError, match="QQ"):
+        ctx.row_ideal(ProjectivePoint(QQ, [Fraction(1, 2), 1, 0, 0]))
+    with pytest.raises(ValueError, match="QQ"):
+        ctx.evaluate_map(ProjectivePoint(QQ, [Fraction(1, 2), 1]))
+    with pytest.raises(ValueError, match="QQ"):
+        ctx.point_presentation(1, points=[ProjectivePoint(QQ, [1, k]) for k in range(1, 5)])
+    with pytest.raises(ValueError, match="QQ"):
+        ctx.hks_lower_bound(A, ProjectivePoint(QQ, [1, 0, 0, 0]))
+    with pytest.raises(ValueError, match="coordinates"):
+        ctx.evaluate_map(ProjectivePoint(FP, [1, 2, 3]))
+    with pytest.raises(ValueError, match="coordinates"):
+        ctx.row_ideal(ProjectivePoint(FP, [1, 2]))
+    with pytest.raises(ValueError, match="coordinates"):
+        ctx.point_presentation(1, points=[ProjectivePoint(FP, [1, k, 1]) for k in range(4)])
 
 
 def test_evaluate_map_and_base_locus():
@@ -444,6 +471,49 @@ def test_point_presentation_pins_sampled_points():
         (30665, 22017),
         (1694, 21037),
     ]
+
+
+@pytest.mark.parametrize(
+    "make,d",
+    [(quartic_context, 1), (quartic_context, 2), (quartic_context, 3), (plane_cubics_context, 1)],
+)
+def test_point_presentation_generators_are_the_lagrange_basis(make, d):
+    """h_i(p_k) = delta_ik, and the h_i span the space of the minimal
+    generators of I^d."""
+    ctx = make()
+    F = ctx.ring.field
+    pp = ctx.point_presentation(d)
+    gens = pp.matrix.generators
+    for i, h in enumerate(gens):
+        for k, p in enumerate(pp.points):
+            assert h.evaluate(p.normalized()) == (F.one if i == k else F.zero)
+    power = ctx.power_context(d).generators
+    # forms of one degree generate the same ideal iff they span the same space
+    assert len(gens) == len(power)
+    assert Ideal(ctx.ring, gens).equals(Ideal(ctx.ring, power))
+
+
+PINS = json.loads((DATA / "point_presentation_pins.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "name,make,d",
+    [
+        ("quartic_curve_power_2", quartic_context, 2),
+        ("monomial_cover_power_2", monomial_cover_context, 2),
+        ("plane_cubics_power_1", plane_cubics_context, 1),
+    ],
+)
+def test_point_presentation_pins_the_whole_matrix(name, make, d):
+    """Generators, columns and points at seed 0, as recorded; the CLI goldens
+    render only the canonical row ideals."""
+    pp = make(seed=0).point_presentation(d)
+    field = pp.matrix.ring.field
+    assert {
+        "generators": [str(g) for g in pp.matrix.generators],
+        "columns": [[str(e) for e in col] for col in pp.matrix.columns],
+        "points": [[field.coeff_str(c) for c in p.coords] for p in pp.points],
+    } == PINS[name]
 
 
 def test_point_presentation_with_supplied_points():
