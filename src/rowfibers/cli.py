@@ -306,8 +306,8 @@ def cmd_fiber(problem, args):
 
 def cmd_spread(problem, args):
     ctx = _context(problem, args.ideal, args.seed)
-    # analytic_spread raises ConsistencyError unless value equals the
-    # elimination oracle, so the checked value is the oracle's answer
+    # analytic_spread raises ConsistencyError unless value equals the exact
+    # special fiber dimension, so the checked value is that dimension
     value, codims = ctx.analytic_spread(args.trials)
     return {
         "analytic_spread": value,

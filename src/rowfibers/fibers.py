@@ -259,12 +259,26 @@ class MapContext:
     # -- analytic spread ----------------------------------------------------
 
     def special_fiber_dimension(self) -> int:
-        """Analytic spread via elimination: dim k[T]/ker(T_i -> g_i).
+        """Analytic spread, exactly: l = dim k[T]/ker(T_i -> g_i).
 
         This is the Krull dimension of the coordinate ring of the image cone
-        (the special fiber ring); serves as the elimination oracle that the
-        sampling route is checked against.
+        (the special fiber ring), the oracle that the sampling route is
+        checked against.  It is trdeg k(g_0, ..., g_r), and with J the
+        Jacobian matrix (dg_i/dx_k), rank J(p) <= rank J <= l <= min(n+1,
+        r+1) at every point p.  The middle step holds over any perfect
+        field, F_p and Q included: there l of the g_i form a separating
+        transcendence basis B, and each other g_j has a separable minimal
+        polynomial m over k(B), so m'(g_j) != 0 and differentiating
+        m(g_j) = 0 puts dg_j in the span of the dg_i in B.  So when J at
+        one random point has rank min(n+1, r+1), that rank is l.  Any
+        other rank (a bad point, a small field, a p-th power or l below the
+        bound) sends the map to the elimination of the kernel; the answer
+        never depends on the point.
         """
+        bound = min(self.n + 1, self.r + 1)
+        p = self.random_point(self.rng("special_fiber"))
+        if _jacobian_rank(self.generators, p.coords) == bound:
+            return bound
         n1 = self.ring.nvars
         big, lift = _adjoin(self.ring, self.r + 1, front=False)
         ker_gens = [big.gen(n1 + i) - lift(g) for i, g in enumerate(self.generators)]
@@ -310,8 +324,8 @@ class MapContext:
         """Analytic spread by general-point sampling: 1 + codim(I_phi(p) : I^inf).
 
         Returns (value, per-trial codimensions); the maximum over trials is
-        cross-checked against the elimination oracle, and any disagreement
-        raises instead of being averaged away.
+        cross-checked against the exact special_fiber_dimension, and any
+        disagreement raises instead of being averaged away.
         """
         codims = []
         for _, K in self._sampled_fibers("analytic_spread", trials):
@@ -327,7 +341,7 @@ class MapContext:
         if value != oracle:
             raise ConsistencyError(
                 f"analytic spread mismatch: sampling gives {value}, "
-                f"elimination oracle gives {oracle}"
+                f"the special fiber ring gives {oracle}"
             )
         return value, codims
 
@@ -597,6 +611,23 @@ def _unit_exponents(count: int) -> list:
     return [tuple(int(i == k) for i in range(count)) for k in range(count)]
 
 
+def _jacobian_rank(forms, point) -> int:
+    """The rank of the Jacobian matrix (df_i/dx_k) of ``forms`` at ``point``."""
+    F = forms[0].ring.field
+    span = _Echelon(F, neg)
+    for f in forms:
+        row = []
+        for k in range(len(point)):
+            partial = {}
+            for m, c in f.coeffs.items():
+                c = F.mul(c, F.from_int(m[k]))
+                if not F.is_zero(c):
+                    partial[m[:k] + (m[k] - 1,) + m[k + 1:]] = c
+            row.append(Polynomial(f.ring, partial).evaluate(point))
+        span.add(_sparse_row(F, row))
+    return len(span.rows)
+
+
 def _point_ideal(ring, coords) -> Ideal:
     """I_p, generated by the n forms p_b*x_a - p_a*x_b (a != b) for b the
     first nonzero coordinate of p."""
@@ -614,12 +645,12 @@ def _point_ideal(ring, coords) -> Ideal:
 
 
 def _coordinate(field, c):
-    """An int or a Fraction as an element of ``field``; anything else as given."""
+    """An int or a Fraction as an element of ``field``; ValueError otherwise."""
     if isinstance(c, int):
         return field.from_int(c)
     if isinstance(c, Fraction):
         return field.from_fraction(c.numerator, c.denominator)
-    return c
+    raise ValueError(f"coordinate {c!r} is neither an int nor a Fraction")
 
 
 def _sparse_row(F, values) -> dict:

@@ -181,7 +181,8 @@ class Ideal:
         """I intersect J, by eliminating t from t*I + (1-t)*J.
 
         Monomial ideals take the combinatorial route: the intersection is
-        generated by the pairwise lcms of the generators.  Otherwise, when
+        generated by the pairwise lcms of the generators, and is the other
+        side as it is when one side is (1).  Otherwise, when
         one ideal contains the other, the intersection is the smaller one,
         returned as it is: J when J is in I, else I when I is in J, decided
         by normal forms against the Groebner bases the ideals cache.  The
@@ -192,6 +193,11 @@ class Ideal:
             return Ideal(self.ring, [])
         a, b = self.monomial_exponents(), other.monomial_exponents()
         if a is not None and b is not None:
+            one = (0,) * self.ring.nvars
+            if one in a:
+                return other
+            if one in b:
+                return self
             return self._monomial_ideal([mono_lcm(x, y) for x in a for y in b])
         if self.contains_ideal(other):
             return other
@@ -211,9 +217,9 @@ class Ideal:
     def colon_poly(self, f: Polynomial) -> "Ideal":
         """I : (f) via (I intersect (f)) divided through by f.
 
-        For a monomial ideal and a monomial f this is {g / gcd(g, f)}.  For
-        f in I the intersection is (f) itself, so the colon is (1) with no
-        elimination.
+        For a monomial ideal and a monomial f this is (1) when a generator
+        divides f, and {g / gcd(g, f)} otherwise.  For f in I the
+        intersection is (f) itself, so the colon is (1) with no elimination.
         """
         if f.is_zero():
             return Ideal(self.ring, [self.ring.one()])
@@ -222,6 +228,8 @@ class Ideal:
         exps = self.monomial_exponents()
         if exps is not None and len(f.coeffs) == 1:
             (fm,) = f.coeffs
+            if any(mono_divides(e, fm) for e in exps):
+                return Ideal(self.ring, [self.ring.one()])
             return self._monomial_ideal(
                 [tuple(max(g - m, 0) for g, m in zip(e, fm)) for e in exps]
             )

@@ -195,6 +195,41 @@ def intersect_by_elimination(I, J):
     ])
 
 
+def colon_poly_by_elimination(I, f):
+    """I : f as (I intersect (f)) / f, the intersection by the textbook
+    route: the reference for ``Ideal.colon_poly``."""
+    meet = intersect_by_elimination(I, Ideal(I.ring, [f]))
+    return Ideal(I.ring, [groebner.exact_divide(g, f) for g in meet.generators])
+
+
+def special_fiber_dimension_by_elimination(ctx):
+    """dim k[T]/ker(T_i -> g_i) by the textbook route, the reference for
+    ``MapContext.special_fiber_dimension``: the full reduced basis of the
+    T_i - g_i in the order eliminating the variables of the map's ring, its
+    elements free of those variables as the kernel in k[T]."""
+    R = ctx.ring
+    names = []
+    for i in range(ctx.r + 1):
+        name = f"T{i}"
+        while name in R.variables:
+            name += "_"
+        names.append(name)
+    big = PolyRing(R.field, [*R.variables, *names], R.default_order)
+    target = PolyRing(R.field, names)
+    pad = (0,) * len(names)
+    gens = [
+        big.gen(R.nvars + i) - Polynomial(big, {m + pad: c for m, c in g.coeffs.items()})
+        for i, g in enumerate(ctx.generators)
+    ]
+    gb = reduced_groebner_basis(gens, MonomialOrder.elimination(R.nvars))
+    kernel = Ideal(target, [
+        Polynomial(target, {m[R.nvars:]: c for m, c in g.coeffs.items()})
+        for g in gb
+        if all(not any(m[:R.nvars]) for m in g.coeffs)
+    ])
+    return kernel.dimension()
+
+
 def count_eliminations(monkeypatch):
     """A list that grows by one at each ``eliminate_first`` call, patched in
     both modules that name the function."""

@@ -31,6 +31,7 @@ from helpers import (
     random_monomial_ideal,
     random_target_point,
     ring,
+    special_fiber_dimension_by_elimination,
     twisted_cubic_context,
 )
 
@@ -117,6 +118,24 @@ def test_criterion_4_analytic_spread_sampling_equals_elimination():
         ctx = random_equigenerated_context(rng)
         value, _ = ctx.analytic_spread()
         assert value == ctx.special_fiber_dimension()
+
+
+def test_criterion_4_analytic_spread_sampling_equals_the_elimination_reference():
+    """Sampling agrees with the dimension of the special fiber ring by the
+    textbook elimination, on the goldens, the plane cubics over Q and 20
+    random validated equigenerated ideals, whichever route
+    special_fiber_dimension took."""
+    contexts = [
+        quartic_context(),
+        twisted_cubic_context(),
+        monomial_cover_context(),
+        plane_cubics_context(),
+    ]
+    rng = random.Random("acceptance-spread")
+    contexts += [random_equigenerated_context(rng) for _ in range(20)]
+    for ctx in contexts:
+        value, _ = ctx.analytic_spread()
+        assert value == special_fiber_dimension_by_elimination(ctx)
 
 
 def test_criterion_5_birationality_verdicts():

@@ -35,9 +35,12 @@ from helpers import (
     random_target_point,
     ring,
     saturate_by_iterated_colons,
+    special_fiber_dimension_by_elimination,
     twisted_cubic_context,
 )
 from rowfibers import Polynomial, matrix_from_rows, minimal_presentation, parse_matrix_rows
+
+F7 = CoefficientField(7)
 
 
 # -- context validation ------------------------------------------------------
@@ -76,6 +79,15 @@ def test_projective_points():
     # over Q an integral Fraction becomes an int, the field's canonical form
     coords = ProjectivePoint(QQ, [Fraction(4, 2), Fraction(1, 2)]).coords
     assert [type(c) for c in coords] == [int, Fraction]
+
+
+@pytest.mark.parametrize("field", [FP, QQ], ids=["fp", "q"])
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1"])
+def test_projective_point_refuses_coordinates_outside_int_and_fraction(field, bad):
+    """A coordinate that is neither an int nor a Fraction is refused where
+    the point is built, not when a later computation trips over it."""
+    with pytest.raises(ValueError, match="neither an int nor a Fraction"):
+        ProjectivePoint(field, [bad, 1])
 
 
 def test_points_must_lie_in_the_space_and_field_of_the_map():
@@ -298,6 +310,75 @@ def test_spread_is_seed_independent():
     assert a == b == 4
 
 
+@st.composite
+def spread_map(draw, field):
+    """A map of P^1 by 2 to 4 forms of degree 2 to 4, or of P^2 by 3 or 4
+    quadrics, monomial or not, with a random seed.  One P^2 draw in two
+    takes its forms in x0 and x1 only, so that l = 2 lies below
+    min(n+1, r+1) = 3 and the Jacobian cannot certify it."""
+    nvars = draw(st.integers(2, 3))
+    R = ring(field, *[f"x{i}" for i in range(nvars)])
+    degree = 2 if nvars == 3 else draw(st.integers(2, 4))
+    monos = [next(iter(m.coeffs)) for m in all_monomials(R, degree)]
+    if nvars == 3 and draw(st.booleans()):
+        monos = [m for m in monos if not m[2]]
+    terms = 1 if draw(st.booleans()) else 3
+    coeff = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    forms = draw(st.lists(
+        st.dictionaries(st.sampled_from(monos), coeff, min_size=1, max_size=terms),
+        min_size=nvars, max_size=4,
+    ))
+    gens = [Polynomial(R, {m: field.from_int(c) for m, c in f.items()}) for f in forms]
+    try:
+        return MapContext(Ideal(R, gens), seed=draw(st.integers(0, 999)))
+    except ValueError:  # a common factor, or fewer than two independent forms
+        assume(False)
+
+
+@pytest.mark.parametrize("field", [FP, QQ, F7], ids=["fp", "q", "f7"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_special_fiber_dimension_matches_the_elimination_route(field, data):
+    """The Jacobian certificate, or the elimination it falls back to, gives
+    the dimension of the special fiber ring by the textbook elimination."""
+    ctx = data.draw(spread_map(field))
+    assert ctx.special_fiber_dimension() == special_fiber_dimension_by_elimination(ctx)
+
+
+def test_special_fiber_dimension_certifies_full_rank_without_elimination(monkeypatch):
+    """Where the Jacobian has rank min(n+1, r+1) at the random point, that
+    rank is the answer, and no elimination runs."""
+    calls = count_eliminations(monkeypatch)
+    for make, value in (
+        (quartic_context, 2),
+        (plane_cubics_context, 3),
+        (monomial_cover_context, 4),
+    ):
+        calls.clear()
+        assert make().special_fiber_dimension() == value
+        assert calls == []
+
+
+@pytest.mark.parametrize(
+    "field,names,forms,value",
+    [
+        # the Jacobian of (x0^7, x1^7) over F_7 is 0 at every point
+        (F7, ("x0", "x1"), ("x0^7", "x1^7"), 2),
+        # J of monomial_cover.txt misses d, so l = 3 < min(n+1, r+1) = 4
+        (FP, ("a", "b", "c", "d"), ("a*b^2", "a*c^2", "b^2*c", "b*c^2"), 3),
+    ],
+    ids=["pth_powers", "cover_J"],
+)
+def test_special_fiber_dimension_falls_back_below_full_rank(
+    monkeypatch, field, names, forms, value
+):
+    calls = count_eliminations(monkeypatch)
+    ctx = MapContext(ideal(ring(field, *names), *forms))
+    assert ctx.special_fiber_dimension() == value
+    assert len(calls) == 1
+    assert special_fiber_dimension_by_elimination(ctx) == value
+
+
 # -- birationality -----------------------------------------------------------
 
 
@@ -311,9 +392,6 @@ def test_birationality_goldens():
     # the general fiber of the cover map is a single reduced point too
     ok, cert = monomial_cover_context().birationality_test()
     assert ok and cert["codimension"] == 3
-
-
-F7 = CoefficientField(7)
 
 
 @st.composite

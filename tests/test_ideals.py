@@ -23,6 +23,7 @@ from rowfibers.groebner import _Echelon, _buchberger
 from helpers import (
     FP,
     QQ,
+    colon_poly_by_elimination,
     count_eliminations,
     ideal,
     intersect_by_elimination,
@@ -485,6 +486,35 @@ def test_colon_by_a_member_runs_no_elimination(R, monkeypatch):
     f = g * R.parse("x + z") + h * R.parse("y")
     assert I.colon_poly(f).is_unit()
     assert calls == []
+
+
+@st.composite
+def monomial_ideal_and_monomial(draw, R):
+    """A monomial ideal on 1-3 exponents of degree 0-3 in x, y, z, and a
+    monomial f that, one draw in two, is a multiple of one of them (f in I).
+    An exponent of degree 0 makes I the unit ideal."""
+    exps = [(a, b, c) for a in range(4) for b in range(4) for c in range(4) if a + b + c <= 3]
+    gens = draw(st.lists(st.sampled_from(exps), min_size=1, max_size=3))
+    f = draw(st.sampled_from(exps))
+    if draw(st.booleans()):
+        f = tuple(a + b for a, b in zip(f, draw(st.sampled_from(gens))))
+    c = R.field.from_int(draw(st.integers(-3, 3).filter(bool)))
+    return Ideal(R, [R.monomial(e) for e in gens]), R.monomial(f, c)
+
+
+@pytest.mark.parametrize("R", [RP, RQ], ids=["fp", "q"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_monomial_colon_and_meet_match_the_elimination_route(R, data):
+    """The monomial colon, which is (1) as soon as a generator of I divides
+    f, and the monomial meet, which returns the other side when one side is
+    (1), give the ideals of the textbook routes."""
+    I, f = data.draw(monomial_ideal_and_monomial(R))
+    assert I.colon_poly(f).equals(colon_poly_by_elimination(I, f))
+    unit = Ideal(R, [R.one()])
+    J = Ideal(R, [f])
+    for a, b in ((I, unit), (unit, I), (I, J), (J, I)):
+        assert a.intersect(b).equals(intersect_by_elimination(a, b))
 
 
 def test_colon_and_saturation_agree_with_oracle():
