@@ -235,14 +235,12 @@ class MapContext:
         I = self.ideal
         I_q, g_j = self._subspace_and_pivot(q)
         J_i = I_q.colon_poly(g_j) if row is None else row
-        numerator = Ideal(self.ring, I_q.minimal_generators())
+        numerator = I_q
         chain = []
-        power = I
         for i in range(1, max_power + 1):
             if i > 1:
                 numerator = Ideal(self.ring, (numerator * I).minimal_generators())
-                power = Ideal(self.ring, (power * I).minimal_generators())
-                J_i = numerator.colon(power)
+                J_i = numerator.colon(I.power(i))
             if chain and not J_i.contains_ideal(chain[-1]):
                 raise ConsistencyError(
                     f"correspondence chain failed to increase at step {i}"
@@ -421,8 +419,6 @@ class MapContext:
 
     def power_context(self, d: int) -> "MapContext":
         """Context of the map defined by the d-th power of the form space."""
-        if d < 1:
-            raise ValueError("power must be >= 1")
         if d == 1:
             return self
         return MapContext(self.ideal.power(d), seed=self.seed)
@@ -451,7 +447,7 @@ class MapContext:
         E[i] = phi_d(p_i), so its row ideal is power_row_ideal at p_i, and
         the generators are the Lagrange basis: h_i(p_k) = delta_ik.
         """
-        basis, A = minimal_presentation(self.power_context(d).ideal)
+        basis, A = minimal_presentation(self.ideal.power(d))
         N1 = len(basis)
         F = self.ring.field
         if points is None:
@@ -649,6 +645,8 @@ def _coordinate(field, c):
     if isinstance(c, int):
         return field.from_int(c)
     if isinstance(c, Fraction):
+        if field.p and c.denominator % field.p == 0:
+            raise ValueError(f"coordinate {c} has no value in {field!r}")
         return field.from_fraction(c.numerator, c.denominator)
     raise ValueError(f"coordinate {c!r} is neither an int nor a Fraction")
 

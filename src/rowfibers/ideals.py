@@ -67,8 +67,9 @@ class Ideal:
     """An ideal in a graded polynomial ring, with its reduced GB in the
     ring's default order cached.
 
-    Values are immutable apart from the GB cache; cache installation is
-    idempotent (compute-then-install), so sharing across tasks is safe.
+    Values are immutable apart from the GB and power caches; cache
+    installation is idempotent (compute-then-install), so sharing across
+    tasks is safe.
     """
 
     def __init__(self, ring: PolyRing, generators: Sequence[Polynomial]):
@@ -79,6 +80,7 @@ class Ideal:
         self.generators = tuple(g for g in generators if not g.is_zero())
         self._gb: Optional[GroebnerBasis] = None
         self._mono_exps = False  # False = not yet computed; None = not monomial
+        self._powers: tuple = ()  # minimal I, I^2, ... as far as computed
 
     # -- basics -------------------------------------------------------------
 
@@ -168,12 +170,22 @@ class Ideal:
         )
 
     def power(self, d: int) -> "Ideal":
+        """I^d.  A homogeneous ideal keeps its minimal generators after each
+        multiplication: a product a*b whose factor a was dropped at the step
+        before lies in the span (or ideal) of the a'*b before it, so this is
+        the list that minimalizing the full product gives, in its order.
+        The powers computed so far are kept on the ideal, like its basis."""
         if d < 1:
-            raise ValueError("power exponent must be >= 1")
-        result = self
-        for _ in range(d - 1):
-            result = result * self
-        return result
+            raise ValueError("power must be >= 1")
+        if not self.is_homogeneous():
+            return reduce(Ideal.__mul__, [self] * d)
+        powers = self._powers
+        if len(powers) < d:
+            powers = list(powers) or [Ideal(self.ring, self.minimal_generators())]
+            while len(powers) < d:
+                powers.append(Ideal(self.ring, (powers[-1] * powers[0]).minimal_generators()))
+            self._powers = tuple(powers)
+        return powers[d - 1]
 
     # -- intersection / colon / saturation ---------------------------------
 
@@ -359,17 +371,6 @@ class Ideal:
         """
         if not self.is_homogeneous():
             raise ValueError("minimal generators require a homogeneous ideal")
-        exps = self.monomial_exponents()
-        if exps is not None:
-            # the first generator with each exponent, as written
-            first = {}
-            for e, g in zip(exps, self.generators):
-                first.setdefault(e, g)
-            keep = []
-            for e in sorted(first, key=mono_degree):
-                if not any(mono_divides(k, e) for k in keep):
-                    keep.append(e)
-            return [first[e] for e in keep]
         if len({g.total_degree() for g in self.generators}) == 1:
             span = _Echelon(self.ring.field, self.ring.default_order.key)
             return [g for g in self.generators if span.add(g.coeffs)]

@@ -223,11 +223,9 @@ def minimal_presentation(I: Ideal):
 
 def is_linear_presentation(I: Ideal) -> bool:
     """True iff the minimal presentation of I has only linear nonzero entries."""
-    gens = I.minimal_generators()
-    degs = {g.total_degree() for g in gens}
-    if len(degs) != 1:
+    gens, matrix = minimal_presentation(I)
+    if len({g.total_degree() for g in gens}) != 1:
         raise ValueError("ideal is not equigenerated")
-    _, matrix = minimal_presentation(I)
     return all(
         e.is_zero() or e.total_degree() == 1 for col in matrix.columns for e in col
     )

@@ -262,3 +262,13 @@ def generalized_row_by_scaling(A, coords):
                 acc = acc + entry.scale(q)
         out.append(acc)
     return tuple(out)
+
+
+def full_power(I, d):
+    """All products of d generators of I, in the order of the product loop
+    [a*b for a in gens(I^(k-1)) for b in gens(I)]: the reference for
+    ``Ideal.power``."""
+    gens = list(I.generators)
+    for _ in range(d - 1):
+        gens = [a * b for a in gens for b in I.generators]
+    return gens

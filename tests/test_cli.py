@@ -295,8 +295,9 @@ def test_cli_answers_do_not_change_under_rational_rescaling(capsys, tmp_path):
 GOLDEN = DATA / "golden"
 
 # every README invocation, plus the fiber kinds, spread, birationality and the
-# point presentation on the plane cubics over Q, spread and birationality on
-# the monomial cover, and colon and saturation of non-monomial ideals over Q
+# point presentation on the plane cubics over Q, the quartic's fourth power,
+# spread and birationality on the monomial cover, and colon and saturation of
+# non-monomial ideals over Q
 GOLDEN_INVOCATIONS = [
     ("fiber", "monomial_cover.txt", "--at", "q", "--kind", "all"),
     ("spread", "quartic_curve.txt", "--trials", "5"),
@@ -314,6 +315,7 @@ GOLDEN_INVOCATIONS = [
     ("spread", "plane_cubics.txt"),
     ("birational", "plane_cubics.txt"),
     ("point-presentation", "plane_cubics.txt"),
+    ("point-presentation", "quartic_curve.txt", "--power", "4"),
     ("spread", "monomial_cover.txt"),
     ("birational", "monomial_cover.txt"),
     ("colon", "conic_torsion.txt", "I", "J"),

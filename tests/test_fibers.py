@@ -79,6 +79,9 @@ def test_projective_points():
     # over Q an integral Fraction becomes an int, the field's canonical form
     coords = ProjectivePoint(QQ, [Fraction(4, 2), Fraction(1, 2)]).coords
     assert [type(c) for c in coords] == [int, Fraction]
+    # a denominator that p divides has no value in F_p
+    with pytest.raises(ValueError, match=r"1/7 has no value in GF\(7\)"):
+        ProjectivePoint(F7, [Fraction(1, 7), 1])
 
 
 @pytest.mark.parametrize("field", [FP, QQ], ids=["fp", "q"])
@@ -535,6 +538,30 @@ def test_point_presentation_row_is_the_power_row_ideal():
         assert pp.row_ideal(i).equals(ctx.power_row_ideal(2, pp.points[i]))
 
 
+def test_powers_are_minimal_at_every_step(monkeypatch):
+    """I^6 of the quartic multiplies only minimal generators of I^5 by I
+    (the full product takes 5,456 multiplications for 25 generators), the
+    ideal keeps its powers, and a point presentation builds no context for
+    I^d."""
+    ctx = quartic_context()
+    products = []
+    multiply = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda f, g: products.append(1) or multiply(f, g))
+    assert len(ctx.ideal.power(6).generators) == 25
+    assert len(products) <= 300
+    count = len(products)
+    assert ctx.ideal.power(4) is ctx.ideal.power(4)
+    assert len(products) == count
+    contexts = []
+    build = MapContext.__init__
+    monkeypatch.setattr(
+        MapContext, "__init__", lambda self, *a, **k: contexts.append(1) or build(self, *a, **k)
+    )
+    for d in (1, 2, 3):
+        ctx.point_presentation(d)
+    assert contexts == []
+
+
 def test_point_presentation_pins_sampled_points():
     # the points drawn depend on which draws extend the evaluation matrix's rank
     pp = quartic_context(seed=0).point_presentation(2)
@@ -580,6 +607,8 @@ PINS = json.loads((DATA / "point_presentation_pins.json").read_text())
         ("quartic_curve_power_2", quartic_context, 2),
         ("monomial_cover_power_2", monomial_cover_context, 2),
         ("plane_cubics_power_1", plane_cubics_context, 1),
+        ("quartic_curve_power_4", quartic_context, 4),
+        ("plane_cubics_power_2", plane_cubics_context, 2),
     ],
 )
 def test_point_presentation_pins_the_whole_matrix(name, make, d):

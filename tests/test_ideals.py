@@ -25,6 +25,7 @@ from helpers import (
     QQ,
     colon_poly_by_elimination,
     count_eliminations,
+    full_power,
     ideal,
     intersect_by_elimination,
     monomials_up_to,
@@ -203,8 +204,8 @@ def test_minimal_generators_drops_exactly_the_redundant(R, gens):
 
 
 def test_monomial_minimal_generators_keep_coefficients():
-    """The monomial route keeps, for each kept exponent, the first input
-    generator with that exponent, as written."""
+    """Minimal generators of a monomial ideal keep, for each kept exponent,
+    the first input generator with that exponent, as written."""
     equi = ideal(RQ, "2*x^2", "3*x*y", "5*x^2", "-y^2", "x*y")
     assert equi.minimal_generators() == [RQ.parse(t) for t in ("2*x^2", "3*x*y", "-y^2")]
     mixed = ideal(RP, "7*x^3", "2*x^2*y", "3*x^2", "4*x^2", "-y^4", "x*y", "5*x*y^3")
@@ -249,6 +250,53 @@ def scaled_monomials(draw, R):
 def test_monomial_minimal_generators_match_generic_route(R, data):
     gens = data.draw(scaled_monomials(R))
     assert Ideal(R, gens).minimal_generators() == generic_minimal_generators(gens)
+
+
+@st.composite
+def mixed_degree_forms(draw):
+    """2-3 forms with 1-3 terms each, of degrees 1 and 2 in any order."""
+    degrees = draw(st.permutations([1, 2] + draw(st.lists(st.sampled_from([1, 2]), max_size=1))))
+    coefficient = st.integers(-9, 9).filter(bool)
+    gens = []
+    for d in degrees:
+        monos = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+        gens.append(draw(st.dictionaries(st.sampled_from(monos), coefficient, min_size=1, max_size=3)))
+    return gens
+
+
+@pytest.mark.parametrize("R", [RP, RQ], ids=["fp", "q"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_power_is_the_minimalized_full_product(R, data):
+    """I^d keeps its minimal generators at every step, and that is exactly
+    the minimalized full product, in its order: for forms of one degree,
+    scaled monomials and forms of mixed degrees."""
+    F = R.field
+    kind = data.draw(st.sampled_from(["forms", "monomials", "mixed"]))
+    if kind == "monomials":
+        gens = data.draw(scaled_monomials(R))
+    else:
+        drawn = data.draw(equigenerated_forms() if kind == "forms" else mixed_degree_forms())
+        gens = [Polynomial(R, {m: F.from_int(c) for m, c in g.items()}) for g in drawn]
+    I = Ideal(R, gens)
+    # d up to 4 (3 for mixed degrees, which minimalize by ideal membership),
+    # as long as the reference product has at most 256 members: the
+    # reference's minimalization dominates the test's time
+    for d in range(1, 4 if kind == "mixed" else 5):
+        if len(I.generators) ** d > 256:
+            break
+        expected = Ideal(R, full_power(I, d)).minimal_generators()
+        # I keeps the powers below d; a fresh ideal computes I^d from scratch
+        assert list(I.power(d).generators) == expected
+        assert list(Ideal(R, gens).power(d).generators) == expected
+
+
+def test_power_of_a_non_homogeneous_ideal_is_the_full_product():
+    I = ideal(RQ, "x^2 + y", "x*y", "x^2*y + y")
+    for d in (1, 2, 3):
+        assert list(I.power(d).generators) == full_power(I, d)
+    with pytest.raises(ValueError, match="power must be >= 1"):
+        I.power(0)
 
 
 @pytest.mark.parametrize(
