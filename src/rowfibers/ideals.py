@@ -58,6 +58,14 @@ def _adjoin(ring: PolyRing, count: int, front: bool):
     return big, lambda f: Polynomial(big, {m + pad: c for m, c in f.coeffs.items()})
 
 
+def _minimalized(ring: PolyRing, gens):
+    """(the ideal of the minimal generators of ``gens``, those generators in
+    the order of ``gens``)."""
+    J = Ideal(ring, gens)
+    kept = J._minimal_positions()
+    return Ideal(ring, [J.generators[i] for i in kept]), [J.generators[i] for i in sorted(kept)]
+
+
 # Sentinel codimension of the unit ideal; deliberately distinct from any
 # integer so "empty fiber" is never confused with an m-primary fiber.
 UNIT_CODIM = "unit"
@@ -80,7 +88,8 @@ class Ideal:
         self.generators = tuple(g for g in generators if not g.is_zero())
         self._gb: Optional[GroebnerBasis] = None
         self._mono_exps = False  # False = not yet computed; None = not monomial
-        self._powers: tuple = ()  # minimal I, I^2, ... as far as computed
+        # (minimal I^k, its generators in product order) for k = 1, 2, ... as far as computed
+        self._powers: tuple = ()
 
     # -- basics -------------------------------------------------------------
 
@@ -174,18 +183,21 @@ class Ideal:
         multiplication: a product a*b whose factor a was dropped at the step
         before lies in the span (or ideal) of the a'*b before it, so this is
         the list that minimalizing the full product gives, in its order.
+        The products are taken in the order of the full product, the kept
+        generators of I^(k-1) as they stood in it, not as minimal_generators
+        lists them: sorted by degree first, for mixed degrees.
         The powers computed so far are kept on the ideal, like its basis."""
         if d < 1:
             raise ValueError("power must be >= 1")
         if not self.is_homogeneous():
             return reduce(Ideal.__mul__, [self] * d)
-        powers = self._powers
-        if len(powers) < d:
-            powers = list(powers) or [Ideal(self.ring, self.minimal_generators())]
+        if len(self._powers) < d:
+            powers = list(self._powers) or [_minimalized(self.ring, self.generators)]
+            base = powers[0][1]
             while len(powers) < d:
-                powers.append(Ideal(self.ring, (powers[-1] * powers[0]).minimal_generators()))
+                powers.append(_minimalized(self.ring, [a * b for a in powers[-1][1] for b in base]))
             self._powers = tuple(powers)
-        return powers[d - 1]
+        return self._powers[d - 1][0]
 
     # -- intersection / colon / saturation ---------------------------------
 
@@ -369,21 +381,22 @@ class Ideal:
         When all generators share one degree, that ideal meets the degree
         in the k-span of the kept forms, so the test is a span test.
         """
+        return [self.generators[i] for i in self._minimal_positions()]
+
+    def _minimal_positions(self) -> list:
+        """The positions in the generator list of what minimal_generators
+        keeps, in its order."""
         if not self.is_homogeneous():
             raise ValueError("minimal generators require a homogeneous ideal")
-        if len({g.total_degree() for g in self.generators}) == 1:
+        gens = self.generators
+        if len({g.total_degree() for g in gens}) == 1:
             span = _Echelon(self.ring.field, self.ring.default_order.key)
-            return [g for g in self.generators if span.add(g.coeffs)]
-        indexed = sorted(
-            enumerate(self.generators), key=lambda t: (t[1].total_degree(), t[0])
-        )
+            return [i for i, g in enumerate(gens) if span.add(g.coeffs)]
         kept: list = []
-        for _, g in indexed:
-            if kept and Ideal(self.ring, kept).contains(g):
+        for i in sorted(range(len(gens)), key=lambda i: (gens[i].total_degree(), i)):
+            if kept and Ideal(self.ring, [gens[j] for j in kept]).contains(gens[i]):
                 continue
-            if not kept and g.is_zero():
-                continue
-            kept.append(g)
+            kept.append(i)
         return kept
 
     # -- rendering -----------------------------------------------------------

@@ -291,6 +291,17 @@ def test_power_is_the_minimalized_full_product(R, data):
         assert list(Ideal(R, gens).power(d).generators) == expected
 
 
+@pytest.mark.parametrize("R", [RP, RQ], ids=["fp", "q"])
+def test_power_of_mixed_degrees_keeps_the_order_of_the_full_product(R):
+    """minimal_generators sorts mixed degrees by degree, but the products of
+    the next step follow the full product: y^4*z^2 (from y^2*z * y^2*z)
+    precedes x^2*z^4 in degree 6."""
+    I = ideal(R, "y^2*z", "x^2", "z^4")
+    for d in (1, 2, 3):
+        assert list(I.power(d).generators) == Ideal(R, full_power(I, d)).minimal_generators()
+    assert [str(g) for g in I.power(2).generators][2:4] == ["y^4*z^2", "x^2*z^4"]
+
+
 def test_power_of_a_non_homogeneous_ideal_is_the_full_product():
     I = ideal(RQ, "x^2 + y", "x*y", "x^2*y + y")
     for d in (1, 2, 3):
