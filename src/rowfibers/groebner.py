@@ -6,10 +6,20 @@ both engines select S-pairs by the normal strategy, popping a heap keyed on
 ``(lcm degree, i, j)`` -- least lcm degree first, ties broken by pair index --
 and division always reduces by the first divisor in sequence order.
 
-A basis element's leading term is computed once, when it joins a basis, and
-handed to the reducers through the keyword-only ``leads`` argument of
-``normal_form``, ``module_normal_form`` and ``s_polynomial``;
-``GroebnerBasis.leads`` caches them for a finished basis.
+``_buchberger`` keeps its pairs with the Gebauer-Moeller update (Gebauer and
+Moeller, J. Symbolic Comput. 6, 1988; Becker-Weispfenning's UPDATE): when an
+element joins the basis, pending pairs whose lcm its lead divides strictly
+are dropped, its own pairs are filtered by the M and F criteria and by
+Buchberger's coprime criterion, and elements whose lead it divides form no
+new pairs.  A pair is never tested again when it is popped, beyond being
+skipped if the update dropped it.
+
+``normal_form`` is the one reducer of ideal elements; ``_buchberger``
+reduces each S-pair through it.  It reads each basis element's lead
+monomial, the inverse of its lead coefficient and its tail terms, which are
+computed once per element: when it joins a Buchberger basis, or on first use
+by ``GroebnerBasis.reducers`` for a finished basis.  The S-pair itself is
+built from the two tails, whose leading terms cancel.
 
 Data that lives in one degree needs no Buchberger run: ``_Echelon`` keeps an
 exact reduced row-echelon form of sparse rows over the coefficient field.
@@ -29,7 +39,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from operator import add, le, sub
 from typing import Optional, Sequence
 
 from .polyring import (
@@ -43,6 +55,7 @@ from .polyring import (
     mono_lcm,
     mono_mul,
     normalize,
+    _rational,
 )
 
 __all__ = [
@@ -75,6 +88,20 @@ class GroebnerBasis:
         """Leading ``(coefficient, monomial)`` of each element, computed on first use."""
         return tuple(g.leading(self.order) for g in self.elements)
 
+    @cached_property
+    def reducers(self) -> tuple:
+        """What ``normal_form`` reads of each element, computed on first use."""
+        return tuple(_reducer(g, lead) for g, lead in zip(self.elements, self.leads))
+
+
+def _reducer(g: Polynomial, lead: tuple) -> tuple:
+    """``(lead monomial, inverse of the lead coefficient, tail terms)`` of a
+    nonzero ``g`` whose leading term is ``lead``; the tail is a tuple of
+    ``(monomial, coefficient)`` pairs holding every other term."""
+    lc, lm = lead
+    tail = tuple((m, c) for m, c in g.coeffs.items() if m != lm)
+    return lm, g.ring.field.inv(lc), tail
+
 
 def normal_form(
     f: Polynomial,
@@ -82,22 +109,27 @@ def normal_form(
     order: Optional[MonomialOrder] = None,
     with_quotients: bool = False,
     *,
-    leads: Optional[Sequence[tuple]] = None,
+    reducers: Optional[Sequence[tuple]] = None,
 ):
     """Remainder of f under multivariate division by ``basis``.
 
     No term of the remainder is divisible by any basis leading term.
     Reduction always uses the first divisor in sequence order, so the
-    result is deterministic for a fixed basis sequence.
+    result is deterministic for a fixed basis sequence.  With
+    ``with_quotients`` the quotient of each nonzero basis element comes
+    back too, in sequence order, so that f = sum q_i * g_i + remainder.
 
-    ``leads``, when given, is ``g.leading(order)`` for each ``g`` in
-    ``basis``, in the same sequence, and every ``g`` must be nonzero.  A
-    caller that reduces many polynomials by one basis computes the leading
-    terms once and passes them here; the result is the same either way.
+    ``reducers``, when given, is what the division reads of each basis
+    element, in the same sequence: its lead monomial, the inverse of its
+    lead coefficient and its other terms, as ``GroebnerBasis.reducers``
+    holds them; every element must be nonzero.  A caller that reduces many
+    polynomials by one basis computes them once and passes them here; the
+    result is the same either way.
     """
     ring = f.ring
     order = order or ring.default_order
-    F = ring.field
+    if reducers is None:
+        reducers = [_reducer(g, g.leading(order)) for g in basis if not g.is_zero()]
     okey = order.key
     keymemo: dict = {}
 
@@ -107,108 +139,143 @@ def normal_form(
             k = keymemo[m] = okey(m)
         return k
 
-    if leads is None:
-        basis = [g for g in basis if not g.is_zero()]
-        leads = [g.leading(order) for g in basis]
+    p = ring.field.p
     work = dict(f.coeffs)
     remainder: dict = {}
-    quotients = [dict() for _ in basis] if with_quotients else None
+    quotients = [dict() for _ in reducers] if with_quotients else None
+    # the field arithmetic is written out for each characteristic: over F_p
+    # every value is reduced mod p, over Q an integral Fraction becomes an int
     while work:
         m = max(work, key=key)
         c = work.pop(m)
-        for idx, (lc, lm) in enumerate(leads):
-            if mono_divides(lm, m):
-                q = F.div(c, lc)
-                shift = mono_div(m, lm)
+        for idx, (lm, inv, tail) in enumerate(reducers):
+            if all(map(le, lm, m)):
+                shift = tuple(map(sub, m, lm))
+                if p:
+                    q = c * inv % p
+                    for gm, gc in tail:
+                        t = tuple(map(add, gm, shift))
+                        v = (work.get(t, 0) - q * gc) % p
+                        if v:
+                            work[t] = v
+                        else:
+                            work.pop(t, None)
+                else:
+                    q = c * inv
+                    if q.__class__ is Fraction and q.denominator == 1:
+                        q = q.numerator
+                    for gm, gc in tail:
+                        t = tuple(map(add, gm, shift))
+                        v = work.get(t, 0) - q * gc
+                        if not v:
+                            work.pop(t, None)
+                        elif v.__class__ is Fraction and v.denominator == 1:
+                            work[t] = v.numerator
+                        else:
+                            work[t] = v
                 if with_quotients:
-                    quotients[idx][shift] = F.add(quotients[idx].get(shift, F.zero), q)
-                for gm, gc in basis[idx].coeffs.items():
-                    if gm == lm:
-                        continue
-                    t = mono_mul(gm, shift)
-                    v = F.sub(work.get(t, F.zero), F.mul(q, gc))
-                    if F.is_zero(v):
-                        work.pop(t, None)
-                    else:
-                        work[t] = v
+                    quotients[idx][shift] = q
                 break
         else:
             remainder[m] = c
     r = Polynomial(ring, remainder)
     if with_quotients:
-        return r, [Polynomial(ring, {m: c for m, c in q.items() if not F.is_zero(c)}) for q in quotients]
+        return r, [Polynomial(ring, q) for q in quotients]
     return r
 
 
-def s_polynomial(
-    f: Polynomial,
-    g: Polynomial,
-    order: MonomialOrder,
-    *,
-    leads: Optional[tuple] = None,
-) -> Polynomial:
-    """The S-polynomial of f and g; ``leads`` is their two leading terms, if known."""
-    F = f.ring.field
-    (cf, mf), (cg, mg) = leads or (f.leading(order), g.leading(order))
-    lcm = mono_lcm(mf, mg)
-    return f.mul_term(F.inv(cf), mono_div(lcm, mf)) - g.mul_term(
-        F.inv(cg), mono_div(lcm, mg)
-    )
+def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+    """The S-polynomial of f and g."""
+    a, b = _reducer(f, f.leading(order)), _reducer(g, g.leading(order))
+    return _s_pair(a, b, mono_lcm(a[0], b[0]), f.ring)
+
+
+def _s_pair(a: tuple, b: tuple, lcm: tuple, ring: PolyRing) -> Polynomial:
+    """The S-polynomial of the basis elements whose reducers are ``a`` and
+    ``b``, built from their tails: the leading terms cancel."""
+    p = ring.field.p
+    lm, inv, tail = a
+    shift = tuple(map(sub, lcm, lm))
+    out = {tuple(map(add, m, shift)): c * inv for m, c in tail}
+    lm, inv, tail = b
+    shift = tuple(map(sub, lcm, lm))
+    for m, c in tail:
+        t = tuple(map(add, m, shift))
+        out[t] = out.get(t, 0) - c * inv
+    if p:
+        return Polynomial(ring, {m: v for m, c in out.items() if (v := c % p)})
+    return Polynomial(ring, {m: _rational(c) for m, c in out.items() if c})
 
 
 def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder):
+    """A Groebner basis of ``gens``: the normalized nonzero generators, then
+    each nonzero S-pair remainder in the order it was found."""
     ring = gens[0].ring
-    basis = [normalize(g, order) for g in gens if not g.is_zero()]
-    if not basis:
-        return []
-    leads = [g.leading(order) for g in basis]
-    lms = [m for _, m in leads]
-    # pending maps each unprocessed pair to its lcm; the heap holds exactly
-    # the same pairs keyed (lcm degree, i, j), and a pair leaves both only
-    # when it is popped
-    pending = {}
-    heap = []
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            lcm = mono_lcm(lms[i], lms[j])
-            pending[(i, j)] = lcm
-            heap.append((mono_degree(lcm), i, j))
-    heapq.heapify(heap)
+    basis: list = []
+    reducers: list = []
+    lms: list = []
+    # every element but the redundant ones, whose lead a later lead divides
+    live: list = []
+    # pending maps each pair still to be reduced to its lcm; the heap holds
+    # these pairs and those that the update removed, keyed (lcm degree, i, j),
+    # and a removed pair is skipped when it is popped
+    pending: dict = {}
+    heap: list = []
+
+    def join(g):
+        """Add g to the basis with the Gebauer-Moeller update (Becker-
+        Weispfenning, UPDATE): B_k drops the pending pairs whose lcm the new
+        lead divides strictly (both other lcms differ); of the new pairs, M
+        drops those whose lcm another new lcm properly divides, F keeps one
+        pair, the first, of each group with one lcm, and a group that holds
+        a coprime pair is dropped whole, as is any other coprime pair."""
+        g = normalize(g, order)
+        lead = g.leading(order)
+        m = lead[1]
+        t = len(basis)
+        with_t = [tuple(map(max, k, m)) for k in lms]
+        for (i, j), lcm in list(pending.items()):
+            if all(map(le, m, lcm)) and with_t[i] != lcm and with_t[j] != lcm:
+                del pending[(i, j)]
+        groups: dict = {}  # lcm -> (first pair's index, some pair is coprime)
+        for i in live:
+            lcm = with_t[i]
+            coprime = lcm == tuple(map(add, lms[i], m))
+            if lcm in groups:
+                first, seen = groups[lcm]
+                groups[lcm] = first, seen or coprime
+            else:
+                groups[lcm] = i, coprime
+        # a proper divisor has a lower degree, and an lcm that some other
+        # lcm divides is divided by a minimal one, so test only those
+        minimal: list = []
+        for lcm in sorted(groups, key=sum):
+            if any(all(map(le, other, lcm)) for other in minimal):
+                continue
+            minimal.append(lcm)
+            i, coprime = groups[lcm]
+            if not coprime:
+                pending[(i, t)] = lcm
+                heapq.heappush(heap, (sum(lcm), i, t))
+        live[:] = [i for i in live if not all(map(le, m, lms[i]))]
+        live.append(t)
+        basis.append(g)
+        reducers.append(_reducer(g, lead))
+        lms.append(m)
+
+    for g in gens:
+        if not g.is_zero():
+            join(g)
     while heap:
         # normal strategy: minimal lcm degree, then index tie-break
         _, i, j = heapq.heappop(heap)
-        lcm = pending.pop((i, j))
-        # Buchberger's coprimality criterion
-        if lcm == mono_mul(lms[i], lms[j]):
+        lcm = pending.pop((i, j), None)
+        if lcm is None:
             continue
-        # chain criterion: some k divides the lcm and both (i,k), (j,k) are gone
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if mono_divides(lms[k], lcm):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pending and pjk not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = s_polynomial(basis[i], basis[j], order, leads=(leads[i], leads[j]))
-        r = normal_form(s, basis, order, leads=leads)
-        if r.is_zero():
-            continue
-        r = normalize(r, order)
-        basis.append(r)
-        lead = r.leading(order)
-        leads.append(lead)
-        lm = lead[1]
-        lms.append(lm)
-        t = len(basis) - 1
-        for k in range(t):
-            lcm = mono_lcm(lms[k], lm)
-            pending[(k, t)] = lcm
-            heapq.heappush(heap, (mono_degree(lcm), k, t))
+        s = _s_pair(reducers[i], reducers[j], lcm, ring)
+        r = normal_form(s, basis, order, reducers=reducers)
+        if not r.is_zero():
+            join(r)
     return basis
 
 
@@ -330,17 +397,17 @@ def _interreduce(basis: Sequence[Polynomial], order: MonomialOrder, free_of: int
     if free_of:
         ranked = [p for p in ranked if not any(p[0][1][:free_of])]
     minimal = []
-    kept_leads = []
+    reducers = []
     for lead, g in ranked:
-        if any(mono_divides(k[1], lead[1]) for k in kept_leads):
+        if any(mono_divides(k[0], lead[1]) for k in reducers):
             continue
         minimal.append(g)
-        kept_leads.append(lead)
+        reducers.append(_reducer(g, lead))
     # tail-reduce each element against the others
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        r = normal_form(g, others, order, leads=kept_leads[:i] + kept_leads[i + 1 :])
+        r = normal_form(g, others, order, reducers=reducers[:i] + reducers[i + 1 :])
         if not r.is_zero():
             reduced.append(normalize(r, order))
     reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))

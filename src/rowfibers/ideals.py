@@ -147,7 +147,7 @@ class Ideal:
                 any(mono_divides(g, m) for g in exps) for m in f.coeffs
             )
         gb = self.groebner()
-        return normal_form(f, gb.elements, gb.order, leads=gb.leads).is_zero()
+        return normal_form(f, gb.elements, gb.order, reducers=gb.reducers).is_zero()
 
     def contains_ideal(self, other: "Ideal") -> bool:
         return all(self.contains(g) for g in other.generators)
@@ -393,10 +393,15 @@ class Ideal:
             span = _Echelon(self.ring.field, self.ring.default_order.key)
             return [i for i, g in enumerate(gens) if span.add(g.coeffs)]
         kept: list = []
+        below = None  # the ideal of the kept generators, built after each keep
         for i in sorted(range(len(gens)), key=lambda i: (gens[i].total_degree(), i)):
-            if kept and Ideal(self.ring, [gens[j] for j in kept]).contains(gens[i]):
-                continue
+            if kept:
+                if below is None:
+                    below = Ideal(self.ring, [gens[j] for j in kept])
+                if below.contains(gens[i]):
+                    continue
             kept.append(i)
+            below = None
         return kept
 
     # -- rendering -----------------------------------------------------------

@@ -255,7 +255,7 @@ def rank_modulo_linear_ideal(A: PresentationMatrix, L: Ideal) -> int:
     for i in range(A.row_count):
         rows.append(
             [
-                normal_form(A.entry(i, j), gb.elements, gb.order, leads=gb.leads)
+                normal_form(A.entry(i, j), gb.elements, gb.order, reducers=gb.reducers)
                 for j in range(A.column_count())
             ]
         )

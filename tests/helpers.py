@@ -1,6 +1,7 @@
 """Shared fixtures-in-plain-functions: golden contexts, random generators,
 and brute-force oracles the fast routines are checked against."""
 
+import heapq
 import random
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -16,6 +17,14 @@ from rowfibers import (
     reduced_groebner_basis,
 )
 from rowfibers import groebner, ideals
+from rowfibers.polyring import (
+    mono_degree,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+    normalize,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -272,3 +281,96 @@ def full_power(I, d):
     for _ in range(d - 1):
         gens = [a * b for a in gens for b in I.generators]
     return gens
+
+
+# -- reference Groebner routes -------------------------------------------------
+
+
+def normal_form_by_scan(f, basis, order, with_quotients=False):
+    """Division by ``basis`` through the field's own operations, reducing by
+    the first divisor in sequence order: the reference for
+    ``groebner.normal_form``."""
+    ring = f.ring
+    F = ring.field
+    basis = [g for g in basis if not g.is_zero()]
+    leads = [g.leading(order) for g in basis]
+    work = dict(f.coeffs)
+    remainder = {}
+    quotients = [dict() for _ in basis]
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        for idx, (lc, lm) in enumerate(leads):
+            if mono_divides(lm, m):
+                q = F.div(c, lc)
+                shift = mono_div(m, lm)
+                quotients[idx][shift] = F.add(quotients[idx].get(shift, F.zero), q)
+                for gm, gc in basis[idx].coeffs.items():
+                    if gm == lm:
+                        continue
+                    t = mono_mul(gm, shift)
+                    v = F.sub(work.get(t, F.zero), F.mul(q, gc))
+                    if F.is_zero(v):
+                        work.pop(t, None)
+                    else:
+                        work[t] = v
+                break
+        else:
+            remainder[m] = c
+    r = Polynomial(ring, remainder)
+    if with_quotients:
+        return r, [
+            Polynomial(ring, {m: c for m, c in q.items() if not F.is_zero(c)})
+            for q in quotients
+        ]
+    return r
+
+
+def buchberger_by_chain_scan(gens, order, reduced=None):
+    """A Groebner basis of ``gens`` by the normal strategy with both criteria
+    tested when a pair is popped: coprime leads, and the chain criterion,
+    which scans the whole basis for a k whose lead divides the lcm and whose
+    pairs with i and j are both gone.  The reference for
+    ``groebner._buchberger``; each S-polynomial it reduces is appended to
+    ``reduced`` when given."""
+    basis = [normalize(g, order) for g in gens if not g.is_zero()]
+    lms = [g.leading_monomial(order) for g in basis]
+    pending = {}
+    heap = []
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            lcm = mono_lcm(lms[i], lms[j])
+            pending[(i, j)] = lcm
+            heap.append((mono_degree(lcm), i, j))
+    heapq.heapify(heap)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        lcm = pending.pop((i, j))
+        if lcm == mono_mul(lms[i], lms[j]):
+            continue
+        if any(
+            k not in (i, j)
+            and mono_divides(lms[k], lcm)
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k in range(len(basis))
+        ):
+            continue
+        (ci, mi), (cj, mj) = basis[i].leading(order), basis[j].leading(order)
+        F = basis[i].ring.field
+        s = basis[i].mul_term(F.inv(ci), mono_div(lcm, mi)) - basis[j].mul_term(
+            F.inv(cj), mono_div(lcm, mj)
+        )
+        if reduced is not None:
+            reduced.append(s)
+        r = normal_form_by_scan(s, basis, order)
+        if r.is_zero():
+            continue
+        basis.append(normalize(r, order))
+        lms.append(basis[-1].leading_monomial(order))
+        t = len(basis) - 1
+        for k in range(t):
+            lcm = mono_lcm(lms[k], lms[t])
+            pending[(k, t)] = lcm
+            heapq.heappush(heap, (mono_degree(lcm), k, t))
+    return basis

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rowfibers import (
+    CoefficientField,
+    GroebnerBasis,
     MonomialOrder,
     Polynomial,
     eliminate_first,
@@ -17,14 +19,23 @@ from rowfibers import (
     reduced_groebner_basis,
     syzygy_generators,
 )
+from rowfibers import groebner
 from rowfibers.groebner import (
     _buchberger,
+    _interreduce,
     module_contains,
     module_groebner,
     s_polynomial,
 )
 
-from helpers import FP, QQ, quartic_context, ring
+from helpers import (
+    FP,
+    QQ,
+    buchberger_by_chain_scan,
+    normal_form_by_scan,
+    quartic_context,
+    ring,
+)
 
 
 RP = ring(FP, "x", "y", "z")
@@ -351,3 +362,129 @@ def test_syzygy_columns_pin_pair_order_quadric_map():
         ["0", "0", "x*z^2 + y*z^2", "-y^2*z + x*z^2"],
         ["0", "0", "x*z + y*z", "-y^2 + x*z"],
     ]
+
+
+# -- the Groebner core against its reference routes ----------------------------
+# helpers.normal_form_by_scan divides through the field's own operations, and
+# helpers.buchberger_by_chain_scan tests both pair criteria when a pair is
+# popped, scanning the whole basis for the chain criterion.
+
+R7 = ring(CoefficientField(7), "x", "y", "z")
+ORDERS = [
+    MonomialOrder.grevlex(),
+    MonomialOrder.lex(),
+    MonomialOrder.elimination(1),
+    MonomialOrder.elimination(2),
+]
+
+
+@st.composite
+def polynomial(draw, R, top, max_terms):
+    """A nonzero polynomial in x, y, z of degree <= top with 1..max_terms
+    terms; coefficients are n/d with n in -5..5 and d in 1..3."""
+    monos = [m for m in product(range(top + 1), repeat=3) if sum(m) <= top]
+    coefficient = st.tuples(st.integers(-5, 5), st.integers(1, 3))
+    terms = draw(
+        st.dictionaries(st.sampled_from(monos), coefficient, min_size=1, max_size=max_terms)
+    )
+    coeffs = {m: R.field.from_fraction(n, d) for m, (n, d) in terms.items()}
+    coeffs = {m: c for m, c in coeffs.items() if c} or {monos[0]: R.field.one}
+    return Polynomial(R, coeffs)
+
+
+def exact_terms(f):
+    """f's terms with each coefficient's type, so that an integral Fraction
+    over Q, or an unreduced value over F_p, shows."""
+    return sorted((m, type(c).__name__, c) for m, c in f.coeffs.items())
+
+
+@pytest.mark.parametrize("R", [RP, RQ, R7], ids=["fp", "q", "f7"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_normal_form_matches_the_reference_division(R, data):
+    """Remainders and quotients are those of the reference division, with
+    the basis elements' reducers computed by normal_form or cached by a
+    GroebnerBasis, and with zero polynomials among the divisors."""
+    order = data.draw(st.sampled_from(ORDERS))
+    basis = data.draw(st.lists(polynomial(R, 2, 3), min_size=1, max_size=4))
+    if data.draw(st.booleans()):
+        basis.insert(data.draw(st.integers(0, len(basis))), R.zero())
+    f = data.draw(polynomial(R, 4, 8))
+    r, quotients = normal_form_by_scan(f, basis, order, with_quotients=True)
+    nonzero = [g for g in basis if not g.is_zero()]
+    cached = GroebnerBasis(tuple(nonzero), order).reducers
+    for got_r, got_q in (
+        normal_form(f, basis, order, with_quotients=True),
+        normal_form(f, nonzero, order, with_quotients=True, reducers=cached),
+    ):
+        assert exact_terms(got_r) == exact_terms(r)
+        assert [exact_terms(q) for q in got_q] == [exact_terms(q) for q in quotients]
+    assert exact_terms(normal_form(f, basis, order)) == exact_terms(r)
+    assert exact_terms(normal_form(f, nonzero, order, reducers=cached)) == exact_terms(r)
+
+
+@pytest.mark.parametrize("R", [RP, RQ, R7], ids=["fp", "q", "f7"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_reduced_basis_matches_the_chain_scan_loop(R, data):
+    """The reduced basis is the reference loop's basis inter-reduced, in
+    grevlex, lex and elim(k), also when the input holds zero or constant
+    generators; in elim(k) so is the part free of the first k variables."""
+    order = data.draw(st.sampled_from(ORDERS))
+    gens = data.draw(st.lists(polynomial(R, 2, 3), min_size=1, max_size=3))
+    for _ in range(data.draw(st.integers(0, 2))):
+        extra = data.draw(st.sampled_from([R.zero(), R.one(), R.constant(R.field.from_int(3))]))
+        gens.insert(data.draw(st.integers(0, len(gens))), extra)
+    reference = buchberger_by_chain_scan(gens, order)
+    got = reduced_groebner_basis(gens, order)
+    want = _interreduce(reference, order)
+    assert [exact_terms(g) for g in got] == [exact_terms(g) for g in want]
+    if order.kind == MonomialOrder.ELIM:
+        k = order.block
+        got = reduced_groebner_basis(gens, order, free_of=k)
+        want = _interreduce(reference, order, k)
+        assert [exact_terms(g) for g in got] == [exact_terms(g) for g in want]
+
+
+def _reduced_s_pairs(monkeypatch, gens, order):
+    """(raw basis, S-polynomials reduced) of ``_buchberger`` on gens."""
+    reduced = []
+    original = groebner.normal_form
+
+    def recorded(f, *args, **kwargs):
+        reduced.append(f)
+        return original(f, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "normal_form", recorded)
+        basis = _buchberger(gens, order)
+    return basis, reduced
+
+
+@pytest.mark.parametrize(
+    "R, texts",
+    [
+        (RP, ["x^2*y - z^3", "x*z - y^2", "y*z^2 - x^3", "x*y*z - z^3 + y^3"]),
+        (RQ, ["x^2 + 2*y*z - 3", "x*y - z^2 + x", "y^2 - 1/2*x*z + y"]),
+        # y^2's pairs with x^2 (coprime) and with x^2*y share the lcm
+        # x^2*y^2: the update drops both, as the chain scan skips both
+        (RP, ["x^2 + y*z", "x^2*y + z^3", "y^2 + x*z"]),
+        # the third lead equals the second: B_k must keep the pair of the
+        # first two, since M drops the first element's pair with the third
+        (RQ, ["y*z", "y^2 + 1", "y^2 + 1"]),
+        (RQ, ["x^2 - y*z", "x*y + z^2", "y^2 - x*z", "x*z + y*z"]),
+        (RP, ["x^3 - y*z^2", "x^2*y - z^3", "y^3 + x*z^2", "x*y*z - z^3"]),
+    ],
+    ids=["pin-fp", "pin-qq", "coprime-group", "equal-leads", "quadrics", "cubics"],
+)
+def test_pair_update_reduces_the_chain_scans_pairs(monkeypatch, R, texts):
+    """On these inputs the Gebauer-Moeller update reduces exactly the
+    S-pairs that the per-pop chain scan reduces, in the same order, so the
+    raw bases agree element for element."""
+    gens = [R.parse(t) for t in texts]
+    order = R.default_order
+    expected = []
+    reference = buchberger_by_chain_scan(gens, order, expected)
+    basis, reduced = _reduced_s_pairs(monkeypatch, gens, order)
+    assert [exact_terms(s) for s in reduced] == [exact_terms(s) for s in expected]
+    assert [exact_terms(g) for g in basis] == [exact_terms(g) for g in reference]

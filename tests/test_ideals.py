@@ -17,7 +17,7 @@ from rowfibers import (
     normal_form,
     reduced_groebner_basis,
 )
-from rowfibers import groebner
+from rowfibers import groebner, ideals
 from rowfibers.groebner import _Echelon, _buchberger
 
 from helpers import (
@@ -201,6 +201,25 @@ def test_minimal_generators_drops_exactly_the_redundant(R, gens):
         if is_kept:
             before.append(g)
     assert before == kept
+
+
+def test_mixed_degree_minimal_generators_build_a_basis_per_keep(monkeypatch):
+    """The ideal of the kept generators is built again only after a keep:
+    nine generators, four of them kept after the first, need at most four
+    reduced bases, where one basis per tested generator needs seven."""
+    calls = []
+    original = ideals.reduced_groebner_basis
+    monkeypatch.setattr(
+        ideals,
+        "reduced_groebner_basis",
+        lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs),
+    )
+    I = ideal(
+        RP, "x*y", "x^2 + y*z", "x^3", "x^2*y", "x*y*z", "y^2*z + z^3", "x*z^2", "y^3", "z^4"
+    )
+    kept = I.minimal_generators()
+    assert len(calls) <= 4
+    assert kept == generic_minimal_generators(list(I.generators))
 
 
 def test_monomial_minimal_generators_keep_coefficients():
