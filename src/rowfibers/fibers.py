@@ -26,6 +26,7 @@ from .polyring import Polynomial
 from .syzygy import (
     PresentationMatrix,
     _check_syzygies,
+    _presentation,
     minimal_presentation,
     rank_modulo_linear_ideal,
 )
@@ -447,7 +448,9 @@ class MapContext:
         E[i] = phi_d(p_i), so its row ideal is power_row_ideal at p_i, and
         the generators are the Lagrange basis: h_i(p_k) = delta_ik.
         """
-        basis, A = minimal_presentation(self.ideal.power(d))
+        # the power keeps minimal generators, in the order minimal_generators gives
+        basis = self.ideal.power(d).generators
+        A = _presentation(basis)
         N1 = len(basis)
         F = self.ring.field
         if points is None:

@@ -21,6 +21,13 @@ computed once per element: when it joins a Buchberger basis, or on first use
 by ``GroebnerBasis.reducers`` for a finished basis.  The S-pair itself is
 built from the two tails, whose leading terms cancel.
 
+The module engine divides in the same shape: ``module_normal_form`` reads
+each vector's lead component and monomial, inverse lead coefficient and tail
+(``_module_reducer``), computed once per element, and ``module_groebner``
+builds each S-pair from the two tails.  The division loops stay two: only
+leads of a term's own component can divide it, and a loop over flat exponent
+tuples that encode the component would test every other component's leads.
+
 Data that lives in one degree needs no Buchberger run: ``_Echelon`` keeps an
 exact reduced row-echelon form of sparse rows over the coefficient field.
 ``reduced_groebner_basis`` takes that route when every generator has degree
@@ -49,11 +56,8 @@ from .polyring import (
     PolyRing,
     Polynomial,
     RingMismatchError,
-    mono_degree,
-    mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
     normalize,
     _rational,
 )
@@ -476,26 +480,12 @@ def _mod_key(order: MonomialOrder):
     return key
 
 
-def _mod_leading(v: dict, key):
-    t = max(v, key=key)
-    return v[t], t
-
-
-def _mod_scale(v: dict, c, F):
-    return {t: F.mul(c, x) for t, x in v.items()}
-
-
-def _mod_sub_scaled(v: dict, w: dict, c, shift: tuple, F) -> dict:
-    """v - c * x^shift * w."""
-    out = dict(v)
-    for (comp, m), x in w.items():
-        t = (comp, mono_mul(m, shift))
-        val = F.sub(out.get(t, F.zero), F.mul(c, x))
-        if F.is_zero(val):
-            out.pop(t, None)
-        else:
-            out[t] = val
-    return out
+def _module_reducer(v: dict, lead: tuple, field) -> tuple:
+    """``(lead component, lead monomial, inverse of the lead coefficient,
+    tail)`` of a nonzero ``v`` whose leading term is ``lead``; the tail holds
+    every other term as a ``((component, monomial), coefficient)`` pair."""
+    tail = tuple((t, c) for t, c in v.items() if t != lead)
+    return lead[0], lead[1], field.inv(v[lead]), tail
 
 
 def module_normal_form(
@@ -504,12 +494,15 @@ def module_normal_form(
     order: MonomialOrder,
     field,
     *,
-    leads: Optional[Sequence[tuple]] = None,
+    reducers: Optional[Sequence[tuple]] = None,
 ):
     """Remainder of a module element under division by ``basis`` (POT order).
 
-    ``leads``, when given, is the leading ``(coefficient, term)`` of each
-    basis element, in the same sequence, as ``normal_form`` takes them.
+    No term of the remainder is divisible by a basis lead of the same
+    component; division uses the first divisor in sequence order.
+    ``reducers``, when given, is what the division reads of each basis
+    element, in the same sequence, as ``_module_reducer`` gives it; every
+    element must be nonzero.  The result is the same either way.
     """
     mkey = _mod_key(order)
     keymemo: dict = {}
@@ -520,28 +513,37 @@ def module_normal_form(
             k = keymemo[t] = mkey(t)
         return k
 
-    F = field
-    if leads is None:
-        leads = [_mod_leading(b, key) for b in basis]
+    if reducers is None:
+        reducers = [_module_reducer(b, max(b, key=key), field) for b in basis if b]
+    p = field.p
     work = dict(v)
     remainder: dict = {}
+    # the field arithmetic is written out per characteristic, as in normal_form
     while work:
         t = max(work, key=key)
         comp, m = t
         c = work.pop(t)
-        for idx, (lc, (lcomp, lm)) in enumerate(leads):
-            if lcomp == comp and mono_divides(lm, m):
-                q = F.div(c, lc)
-                shift = mono_div(m, lm)
-                for (bcomp, bm), bc in basis[idx].items():
-                    if (bcomp, bm) == (lcomp, lm):
-                        continue
-                    tt = (bcomp, mono_mul(bm, shift))
-                    val = F.sub(work.get(tt, F.zero), F.mul(q, bc))
-                    if F.is_zero(val):
-                        work.pop(tt, None)
-                    else:
-                        work[tt] = val
+        for lcomp, lm, inv, tail in reducers:
+            if lcomp == comp and all(map(le, lm, m)):
+                shift = tuple(map(sub, m, lm))
+                if p:
+                    q = c * inv % p
+                    for (gcomp, gm), gc in tail:
+                        u = (gcomp, tuple(map(add, gm, shift)))
+                        x = (work.get(u, 0) - q * gc) % p
+                        if x:
+                            work[u] = x
+                        else:
+                            work.pop(u, None)
+                else:
+                    q = _rational(c * inv)
+                    for (gcomp, gm), gc in tail:
+                        u = (gcomp, tuple(map(add, gm, shift)))
+                        x = work.get(u, 0) - q * gc
+                        if x:
+                            work[u] = _rational(x)
+                        else:
+                            work.pop(u, None)
                 break
         else:
             remainder[t] = c
@@ -549,68 +551,55 @@ def module_normal_form(
 
 
 def module_groebner(vecs: Sequence[dict], order: MonomialOrder, field):
-    """Groebner basis of a submodule of a free module under POT.
+    """Groebner basis of a submodule of a free module under POT: the monic
+    nonzero inputs, then each nonzero S-pair remainder as it was found.
 
     No pair criteria are applied (the coprimality criterion is invalid for
     modules); S-pairs only form between elements with equal lead component.
     """
     key = _mod_key(order)
     F = field
-    basis = []
-    leads = []  # (coefficient, term) of each basis element's lead
+    p = F.p
+    basis: list = []
+    reducers: list = []
+    heap: list = []  # (lcm degree, i, j, lcm): the normal strategy, as in _buchberger
 
-    def append_monic(v):
-        lc, lt = _mod_leading(v, key)
-        v = _mod_scale(v, F.inv(lc), F)
+    def join(v):
+        lead = max(v, key=key)
+        inv = F.inv(v[lead])
+        v = {t: F.mul(inv, c) for t, c in v.items()}
+        t = len(basis)
+        comp, m = lead
+        for i, (icomp, im, _, _) in enumerate(reducers):
+            if icomp == comp:
+                lcm = tuple(map(max, im, m))
+                heapq.heappush(heap, (sum(lcm), i, t, lcm))
         basis.append(v)
-        leads.append((v[lt], lt))
+        reducers.append(_module_reducer(v, lead, F))
 
     for v in vecs:
         if v:
-            append_monic(v)
-    heap = []  # (lcm degree, i, j, lcm): the normal strategy, as in _buchberger
-
-    def push_pair(i, j):
-        (ci, mi), (cj, mj) = leads[i][1], leads[j][1]
-        if ci == cj:
-            lcm = mono_lcm(mi, mj)
-            heapq.heappush(heap, (mono_degree(lcm), i, j, lcm))
-
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            push_pair(i, j)
+            join(v)
     while heap:
         _, i, j, lcm = heapq.heappop(heap)
-        (_, mi), (_, mj) = leads[i][1], leads[j][1]
-        spair = _mod_sub_scaled(
-            _shifted(basis[i], mono_div(lcm, mi), F),
-            basis[j],
-            F.one,
-            mono_div(lcm, mj),
-            F,
-        )
-        r = module_normal_form(spair, basis, order, F, leads=leads)
-        if not r:
-            continue
-        append_monic(r)
-        t = len(basis) - 1
-        for k in range(t):
-            push_pair(k, t)
+        # the S-pair from the two tails: the monic leads cancel
+        out: dict = {}
+        for (_, lm, _, tail), sign in ((reducers[i], 1), (reducers[j], -1)):
+            shift = tuple(map(sub, lcm, lm))
+            for (comp, m), c in tail:
+                u = (comp, tuple(map(add, m, shift)))
+                out[u] = out.get(u, 0) + sign * c
+        spair = {u: x for u, c in out.items() if (x := c % p if p else _rational(c))}
+        r = module_normal_form(spair, basis, order, F, reducers=reducers)
+        if r:
+            join(r)
     return basis
-
-
-def _shifted(v: dict, shift: tuple, F) -> dict:
-    return {(comp, mono_mul(m, shift)): c for (comp, m), c in v.items()}
 
 
 def module_contains(
     v: dict, module_gb: Sequence[dict], order: MonomialOrder, field
 ) -> bool:
     return not module_normal_form(v, module_gb, order, field)
-
-
-def poly_to_module(f: Polynomial, comp: int) -> dict:
-    return {(comp, m): c for m, c in f.coeffs.items()}
 
 
 def syzygy_generators(gens: Sequence[Polynomial]):
@@ -629,15 +618,14 @@ def syzygy_generators(gens: Sequence[Polynomial]):
     zero_exps = (0,) * ring.nvars
     vecs = []
     for i, f in enumerate(gens):
-        v = poly_to_module(f, 0)
+        v = {(0, m): c for m, c in f.coeffs.items()}
         v[(i + 1, zero_exps)] = F.one
         vecs.append(v)
     gb = module_groebner(vecs, order, F)
-    key = _mod_key(order)
     columns = []
     for v in gb:
-        _, (comp, _) = _mod_leading(v, key)
-        if comp == 0:
+        # component 0 leads whenever it is present
+        if any(comp == 0 for comp, _ in v):
             continue
         col = [dict() for _ in range(m)]
         for (c2, mono), coeff in v.items():

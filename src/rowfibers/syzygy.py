@@ -9,6 +9,7 @@ from typing import Optional, Sequence
 from .groebner import (
     _Echelon,
     _mod_key,
+    _module_reducer,
     exact_divide,
     module_groebner,
     module_normal_form,
@@ -163,14 +164,6 @@ def _sorted_columns(gens, columns):
     )
 
 
-def _column_to_module(col):
-    v = {}
-    for i, p in enumerate(col):
-        for m, c in p.coeffs.items():
-            v[(i, m)] = c
-    return v
-
-
 def minimize_columns(gens, columns):
     """Keep a minimal generating subset of syzygy columns.
 
@@ -186,11 +179,12 @@ def minimize_columns(gens, columns):
     F = ring.field
     kept = []
     kept_vecs = []
-    span = _Echelon(F, _mod_key(order))
+    key = _mod_key(order)
+    span = _Echelon(F, key)
     first_twist = None
     gb = None
     for col in _sorted_columns(gens, columns):
-        v = _column_to_module(col)
+        v = {(i, m): c for i, p in enumerate(col) for m, c in p.coeffs.items()}
         twist = _column_degree(gens, col)
         if first_twist is None:
             first_twist = twist
@@ -200,7 +194,8 @@ def minimize_columns(gens, columns):
         else:
             if gb is None:
                 gb = module_groebner(kept_vecs, order, F)
-            if not module_normal_form(v, gb, order, F):
+                reducers = [_module_reducer(g, max(g, key=key), F) for g in gb]
+            if not module_normal_form(v, gb, order, F, reducers=reducers):
                 continue
             gb = None
         kept.append(col)
@@ -218,7 +213,13 @@ def minimal_presentation(I: Ideal):
     gens = I.minimal_generators()
     if not gens:
         raise ValueError("cannot present the zero ideal")
-    return gens, PresentationMatrix(gens, minimize_columns(gens, syzygy_generators(gens)))
+    return gens, _presentation(gens)
+
+
+def _presentation(gens):
+    """The minimal presentation matrix of ``gens``, which must be minimal
+    generators of the ideal they generate."""
+    return PresentationMatrix(gens, minimize_columns(gens, syzygy_generators(gens)))
 
 
 def is_linear_presentation(I: Ideal) -> bool:

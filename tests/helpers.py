@@ -33,8 +33,8 @@ QQ = CoefficientField(0)
 FPI = CoefficientField(32029, with_i=True)
 
 
-def ring(field, *names):
-    return PolyRing(field, list(names))
+def ring(field, *names, order=None):
+    return PolyRing(field, list(names), order)
 
 
 def ideal(R, *texts):
@@ -44,16 +44,16 @@ def ideal(R, *texts):
 # -- golden maps -------------------------------------------------------------
 
 
-def monomial_cover_context(field=FP, seed=0):
+def monomial_cover_context(field=FP, seed=0, order=None):
     """Degree-3 monomial map P^3 -> P^4 with three distinct fiber ideals at e_4."""
-    R = ring(field, "a", "b", "c", "d")
+    R = ring(field, "a", "b", "c", "d", order=order)
     I = ideal(R, "a*b^2", "a*c^2", "b^2*c", "b*c^2", "b*c*d")
     return MapContext(I, seed=seed)
 
 
-def quartic_context(field=FP, seed=0):
+def quartic_context(field=FP, seed=0, order=None):
     """The rational quartic curve map P^1 -> P^3."""
-    R = ring(field, "s", "t")
+    R = ring(field, "s", "t", order=order)
     return MapContext(ideal(R, "s^4", "s^3*t", "s*t^3", "t^4"), seed=seed)
 
 
@@ -68,9 +68,9 @@ def double_cover_context(field=FP, seed=0):
     return MapContext(ideal(R, "s^4", "s^2*t^2", "t^4"), seed=seed)
 
 
-def plane_cubics_context(field=QQ, seed=0):
+def plane_cubics_context(field=QQ, seed=0, order=None):
     """x0*Q, x1*Q, x2*Q, F with Q = x0*x1 - x2^2 and F = x0^3+x1^3+x2^3."""
-    R = ring(field, "x0", "x1", "x2")
+    R = ring(field, "x0", "x1", "x2", order=order)
     x0, x1, x2 = R.gens()
     Q = x0 * x1 - x2 * x2
     F = x0**3 + x1**3 + x2**3

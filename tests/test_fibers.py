@@ -14,6 +14,7 @@ from rowfibers import (
     CoefficientField,
     Ideal,
     MapContext,
+    MonomialOrder,
     ProjectivePoint,
     UNIT_CODIM,
 )
@@ -609,12 +610,16 @@ PINS = json.loads((DATA / "point_presentation_pins.json").read_text())
         ("plane_cubics_power_1", plane_cubics_context, 1),
         ("quartic_curve_power_4", quartic_context, 4),
         ("plane_cubics_power_2", plane_cubics_context, 2),
+        ("quartic_curve_power_2_order_lex", quartic_context, 2),
+        ("plane_cubics_power_1_order_lex", plane_cubics_context, 1),
     ],
 )
 def test_point_presentation_pins_the_whole_matrix(name, make, d):
-    """Generators, columns and points at seed 0, as recorded; the CLI goldens
-    render only the canonical row ideals."""
-    pp = make(seed=0).point_presentation(d)
+    """Generators, columns and points at seed 0, as recorded, in the default
+    order and under lex; the CLI goldens render only the canonical row
+    ideals, which column operations do not change."""
+    order = MonomialOrder.lex() if name.endswith("_order_lex") else None
+    pp = make(seed=0, order=order).point_presentation(d)
     field = pp.matrix.ring.field
     assert {
         "generators": [str(g) for g in pp.matrix.generators],

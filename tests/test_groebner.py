@@ -25,8 +25,10 @@ from rowfibers.groebner import (
     _interreduce,
     module_contains,
     module_groebner,
+    module_normal_form,
     s_polynomial,
 )
+from rowfibers.polyring import mono_divides
 
 from helpers import (
     FP,
@@ -444,6 +446,48 @@ def test_reduced_basis_matches_the_chain_scan_loop(R, data):
         got = reduced_groebner_basis(gens, order, free_of=k)
         want = _interreduce(reference, order, k)
         assert [exact_terms(g) for g in got] == [exact_terms(g) for g in want]
+
+
+@st.composite
+def homogeneous_vector(draw, R, top):
+    """A nonzero vector in R^2 whose entries are forms of one degree in
+    1..top, with 1..4 terms in all; coefficients as in ``polynomial``."""
+    degree = draw(st.integers(1, top))
+    monos = [m for m in product(range(degree + 1), repeat=3) if sum(m) == degree]
+    terms = [(comp, m) for comp in range(2) for m in monos]
+    coefficient = st.tuples(st.integers(-5, 5), st.integers(1, 3))
+    drawn = draw(st.dictionaries(st.sampled_from(terms), coefficient, min_size=1, max_size=4))
+    v = {t: R.field.from_fraction(n, d) for t, (n, d) in drawn.items()}
+    return {t: c for t, c in v.items() if c} or {terms[0]: R.field.one}
+
+
+@pytest.mark.parametrize("R", [RP, RQ], ids=["fp", "q"])
+@pytest.mark.parametrize(
+    "order", [MonomialOrder.grevlex(), MonomialOrder.lex()], ids=["grevlex", "lex"]
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_module_division_leaves_a_reduced_remainder(R, order, data):
+    """Against a module Groebner basis of random homogeneous vectors, each
+    of those vectors reduces to zero, and the remainder r of a random vector
+    v holds no term that a lead of its own component divides, reduces to
+    itself, and v - r reduces to zero; the reducers computed once give the
+    same remainder."""
+    F = R.field
+    vecs = data.draw(st.lists(homogeneous_vector(R, 2), min_size=1, max_size=3))
+    basis = module_groebner(vecs, order, F)
+    assert all(module_normal_form(w, basis, order, F) == {} for w in vecs)
+    v = data.draw(homogeneous_vector(R, 3))
+    r = module_normal_form(v, basis, order, F)
+    key = groebner._mod_key(order)
+    leads = [max(b, key=key) for b in basis]
+    for comp, m in r:
+        assert not any(c == comp and mono_divides(lm, m) for c, lm in leads)
+    reducers = [groebner._module_reducer(b, t, F) for b, t in zip(basis, leads)]
+    assert module_normal_form(v, basis, order, F, reducers=reducers) == r
+    assert module_normal_form(r, basis, order, F) == r
+    diff = {t: F.sub(v.get(t, F.zero), r.get(t, F.zero)) for t in v.keys() | r.keys()}
+    assert module_normal_form({t: c for t, c in diff.items() if c}, basis, order, F) == {}
 
 
 def _reduced_s_pairs(monkeypatch, gens, order):
