@@ -27,7 +27,6 @@ from .syzygy import (
     PresentationMatrix,
     _check_syzygies,
     _presentation,
-    minimal_presentation,
     rank_modulo_linear_ideal,
 )
 
@@ -142,10 +141,7 @@ class MapContext:
     def random_point(self, rng: random.Random) -> ProjectivePoint:
         F = self.ring.field
         for _ in range(RETRY_BOUND):
-            if F.p:
-                coords = [rng.randrange(F.p) for _ in range(self.n + 1)]
-            else:
-                coords = [rng.randint(-99, 99) for _ in range(self.n + 1)]
+            coords = _random_coords(F, rng, self.n + 1)
             if any(coords):
                 return ProjectivePoint(F, [F.from_int(c) for c in coords])
         raise SamplingError("could not sample a nonzero point")
@@ -506,16 +502,16 @@ class MapContext:
         """
         if samples < 1:
             raise ValueError("need at least one sample")
-        A = minimal_presentation(self.ideal)[1]
+        A = _presentation(self.generators)
         F = self.ring.field
         rng = self.rng("linear_rows")
         candidates = [
             ProjectivePoint.standard(F, A.row_count, i) for i in range(A.row_count)
         ]
         for _ in range(samples):
-            coords = [F.from_int(rng.randrange(F.p)) if F.p else F.from_int(rng.randint(-99, 99)) for _ in range(A.row_count)]
-            if any(not F.is_zero(c) for c in coords):
-                candidates.append(ProjectivePoint(F, coords))
+            coords = _random_coords(F, rng, A.row_count)
+            if any(coords):
+                candidates.append(ProjectivePoint(F, [F.from_int(c) for c in coords]))
         for _ in range(samples):
             p = self.random_source_point(rng)
             candidates.append(self.evaluate_map(p))
@@ -641,6 +637,14 @@ def _point_ideal(ring, coords) -> Ideal:
                 form[x[b]] = F.neg(c)
             forms.append(Polynomial(ring, form))
     return Ideal(ring, forms)
+
+
+def _random_coords(field, rng: random.Random, count: int) -> list:
+    """``count`` random ints, each to be read as a coordinate in ``field``:
+    uniform over F_p, or in [-99, 99] over Q."""
+    if field.p:
+        return [rng.randrange(field.p) for _ in range(count)]
+    return [rng.randint(-99, 99) for _ in range(count)]
 
 
 def _coordinate(field, c):

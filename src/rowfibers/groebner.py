@@ -2,9 +2,19 @@
 
 Also houses the free-module engine (position-over-term order) used for
 syzygy computations and module membership.  Everything is deterministic:
-both engines select S-pairs by the normal strategy, popping a heap keyed on
-``(lcm degree, i, j)`` -- least lcm degree first, ties broken by pair index --
-and division always reduces by the first divisor in sequence order.
+both engines pop S-pairs from a heap keyed on ``(degree, i, j)`` -- least
+degree first, ties broken by pair index -- and division always reduces by
+the first divisor in sequence order.
+
+``_buchberger`` keys a pair by its sugar (Giovini, Mora, Niesi, Robbiano
+and Traverso, "One sugar cube, please", ISSAC 1991): an input's sugar is its
+total degree, a pair's is the degree of its lcm plus the larger ecart of its
+two elements, where an element's ecart is its sugar minus the degree of its
+lead, and a remainder takes its pair's sugar.  On homogeneous input every
+ecart is 0, so the sugar is the lcm degree and this is the normal strategy;
+on inhomogeneous input over Q, choosing by lcm degree alone can let the
+coefficients grow without bound.  The module engine keys pairs by lcm
+degree, the normal strategy.
 
 ``_buchberger`` keeps its pairs with the Gebauer-Moeller update (Gebauer and
 Moeller, J. Symbolic Comput. 6, 1988; Becker-Weispfenning's UPDATE): when an
@@ -88,14 +98,9 @@ class GroebnerBasis:
         return len(self.elements)
 
     @cached_property
-    def leads(self) -> tuple:
-        """Leading ``(coefficient, monomial)`` of each element, computed on first use."""
-        return tuple(g.leading(self.order) for g in self.elements)
-
-    @cached_property
     def reducers(self) -> tuple:
         """What ``normal_form`` reads of each element, computed on first use."""
-        return tuple(_reducer(g, lead) for g, lead in zip(self.elements, self.leads))
+        return tuple(_reducer(g, g.leading(self.order)) for g in self.elements)
 
 
 def _reducer(g: Polynomial, lead: tuple) -> tuple:
@@ -220,13 +225,15 @@ def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder):
     lms: list = []
     # every element but the redundant ones, whose lead a later lead divides
     live: list = []
+    # each element's sugar minus the degree of its lead: 0 on homogeneous input
+    ecarts: list = []
     # pending maps each pair still to be reduced to its lcm; the heap holds
-    # these pairs and those that the update removed, keyed (lcm degree, i, j),
+    # these pairs and those that the update removed, keyed (sugar, i, j),
     # and a removed pair is skipped when it is popped
     pending: dict = {}
     heap: list = []
 
-    def join(g):
+    def join(g, sugar):
         """Add g to the basis with the Gebauer-Moeller update (Becker-
         Weispfenning, UPDATE): B_k drops the pending pairs whose lcm the new
         lead divides strictly (both other lcms differ); of the new pairs, M
@@ -236,6 +243,7 @@ def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder):
         g = normalize(g, order)
         lead = g.leading(order)
         m = lead[1]
+        ecart = sugar - sum(m)
         t = len(basis)
         with_t = [tuple(map(max, k, m)) for k in lms]
         for (i, j), lcm in list(pending.items()):
@@ -260,26 +268,27 @@ def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder):
             i, coprime = groups[lcm]
             if not coprime:
                 pending[(i, t)] = lcm
-                heapq.heappush(heap, (sum(lcm), i, t))
+                heapq.heappush(heap, (sum(lcm) + max(ecarts[i], ecart), i, t))
         live[:] = [i for i in live if not all(map(le, m, lms[i]))]
         live.append(t)
         basis.append(g)
         reducers.append(_reducer(g, lead))
         lms.append(m)
+        ecarts.append(ecart)
 
     for g in gens:
         if not g.is_zero():
-            join(g)
+            join(g, g.total_degree())
     while heap:
-        # normal strategy: minimal lcm degree, then index tie-break
-        _, i, j = heapq.heappop(heap)
+        # sugar strategy: minimal sugar, then index tie-break
+        sugar, i, j = heapq.heappop(heap)
         lcm = pending.pop((i, j), None)
         if lcm is None:
             continue
         s = _s_pair(reducers[i], reducers[j], lcm, ring)
         r = normal_form(s, basis, order, reducers=reducers)
         if not r.is_zero():
-            join(r)
+            join(r, sugar)
     return basis
 
 
@@ -380,7 +389,7 @@ def reduced_groebner_basis(
         gb = _linear_groebner_basis(gens, order)
         if free_of:
             gb = GroebnerBasis(
-                tuple(g for g, (_, m) in zip(gb, gb.leads) if not any(m[:free_of])),
+                tuple(g for g, (m, _, _) in zip(gb, gb.reducers) if not any(m[:free_of])),
                 order,
             )
         return gb
@@ -562,7 +571,9 @@ def module_groebner(vecs: Sequence[dict], order: MonomialOrder, field):
     p = F.p
     basis: list = []
     reducers: list = []
-    heap: list = []  # (lcm degree, i, j, lcm): the normal strategy, as in _buchberger
+    # (lcm degree, i, j, lcm): the normal strategy, which is _buchberger's
+    # sugar strategy on homogeneous input
+    heap: list = []
 
     def join(v):
         lead = max(v, key=key)

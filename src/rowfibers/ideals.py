@@ -10,14 +10,12 @@ from typing import Optional, Sequence
 from .groebner import (
     GroebnerBasis,
     _Echelon,
-    _interreduce,
     eliminate_first,
     exact_divide,
     normal_form,
     reduced_groebner_basis,
 )
 from .polyring import (
-    MonomialOrder,
     PolyRing,
     Polynomial,
     RingMismatchError,
@@ -77,7 +75,9 @@ class Ideal:
 
     Values are immutable apart from the GB and power caches; cache
     installation is idempotent (compute-then-install), so sharing across
-    tasks is safe.
+    tasks is safe.  ``groebner()`` is the only writer of the basis cache:
+    every other operation returns an ideal with no basis, computed when
+    first asked for.
     """
 
     def __init__(self, ring: PolyRing, generators: Sequence[Polynomial]):
@@ -258,14 +258,7 @@ class Ideal:
                 [tuple(max(g - m, 0) for g, m in zip(e, fm)) for e in exps]
             )
         meet = self.intersect(Ideal(self.ring, [f]))
-        out = Ideal(self.ring, [exact_divide(g, f) for g in meet.generators])
-        gb = meet._gb
-        if gb is not None and gb.elements == meet.generators:
-            # every element of meet is a multiple of f, so lm(g/f) =
-            # lm(g)/lm(f) and meet's basis divided by f is a Groebner basis
-            # of I : f; only its tails and scalars need reducing
-            out._gb = _interreduce(out.generators, gb.order)
-        return out
+        return Ideal(self.ring, [exact_divide(g, f) for g in meet.generators])
 
     def _saturate_poly(self, f: Polynomial) -> "Ideal":
         """I : f^infty = (I, 1 - t*f) intersect k[x], one elimination; for a
@@ -305,24 +298,8 @@ class Ideal:
 
     def eliminate(self, drop_count: int) -> "Ideal":
         """I intersect k[trailing variables], expressed in the smaller ring."""
-        if not 1 <= drop_count <= self.ring.nvars:
-            raise ValueError("drop count out of range")
-        if drop_count == self.ring.nvars:
-            raise ValueError("cannot eliminate every variable")
-        if self.is_zero():
-            small = PolyRing(
-                self.ring.field,
-                self.ring.variables[drop_count:],
-                self.ring.default_order,
-            )
-            return Ideal(small, [])
-        small, out = eliminate_first(list(self.generators), drop_count)
-        result = Ideal(small, out)
-        if small.default_order.kind == MonomialOrder.GREVLEX:
-            # the elimination order is grevlex on the kept block, so its
-            # head-free reduced elements are the reduced basis in the subring
-            result._gb = GroebnerBasis(result.generators, small.default_order)
-        return result
+        small, out = eliminate_first(list(self.generators) or [self.ring.zero()], drop_count)
+        return Ideal(small, out)
 
     # -- dimension ----------------------------------------------------------
 

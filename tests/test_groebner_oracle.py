@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rowfibers import MonomialOrder, Polynomial, reduced_groebner_basis
+from rowfibers import Ideal, MonomialOrder, Polynomial, reduced_groebner_basis
 from rowfibers.polyring import normalize
 
 from helpers import FP, QQ, ring
@@ -67,6 +67,21 @@ def test_reduced_gb_matches_sympy_over_fp(gens):
 @given(gens=ideals)
 def test_reduced_gb_matches_sympy_over_q(gens):
     assert ours(RQ, gens) == sympys(RQ, gens)
+
+
+def test_intersection_over_q_matches_sympys_elimination():
+    """An intersection over Q whose t-elimination, with S-pairs chosen by lcm
+    degree alone, grew its coefficients without bound; sympy eliminates t
+    from t*I + (1 - t)*J on its own, and the reduced bases agree."""
+    I = ["-15*x^2*y - 12*y^3 + 6*y*z^2", "-y*z - 3*z - 2", "5*y^2 + 4*z^2 - 2"]
+    J = ["-x*z", "x^2 - 2*x*z + 4*y*z"]
+    meet = Ideal(RQ, [RQ.parse(f) for f in I]).intersect(Ideal(RQ, [RQ.parse(g) for g in J]))
+    t = sympy.Symbol("t")
+    exprs = [t * sympy.sympify(f.replace("^", "**")) for f in I]
+    exprs += [(1 - t) * sympy.sympify(g.replace("^", "**")) for g in J]
+    G = sympy.groebner(exprs, t, *SYMBOLS, order="lex")
+    free = [dict(sympy.Poly(g, *SYMBOLS).terms()) for g in G.exprs if not g.has(t)]
+    assert meet.canonical_strings() == sympys(RQ, free)
 
 
 def rational_generator():

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from rowfibers import (
     Ideal,
     MapContext,
-    MonomialOrder,
-    PolyRing,
     Polynomial,
     UNIT_CODIM,
     RingMismatchError,
@@ -534,25 +532,15 @@ def test_is_linear_matches_the_basis_route(R, data):
 @pytest.mark.parametrize("R", [RP, RQ], ids=["fp", "q"])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_installed_bases_are_the_reduced_bases(R, data):
-    """An elimination installs its output as the ideal's basis, and a colon
-    by one form installs the eliminated meet's basis divided by the form and
-    tail-reduced; each must be the reduced basis Buchberger gives afresh."""
+def test_meets_and_colons_satisfy_their_definitions(R, data):
+    """Every generator of I meet J reduces to zero modulo I and modulo J;
+    every generator of I : f, times f, lies in I; and every generator of
+    I : J, times each generator of J, lies in I."""
     I, f = data.draw(ideal_and_form(R))
     J = data.draw(nonmonomial_ideal(R))
-    for out in (I.colon_poly(f), I.saturate(Ideal(R, [f])), I.intersect(J), I.colon(J)):
-        if out._gb is not None:
-            assert out._gb == reduced_groebner_basis(out.generators, R.default_order)
-
-
-def test_installed_bases_only_under_grevlex():
-    """The elimination order is grevlex on the kept variables, so a lex
-    ring's eliminations install no basis."""
-    for R, installed in ((RQ, True), (PolyRing(QQ, ["x", "y", "z"], MonomialOrder.lex()), False)):
-        I = ideal(R, "x^2 - y*z", "x*y + z^2")
-        f = R.parse("x + y")
-        assert (I.colon_poly(f)._gb is not None) == installed
-        assert (I.saturate(Ideal(R, [f]))._gb is not None) == installed
+    assert all(nf_member(g, I) and nf_member(g, J) for g in I.intersect(J).generators)
+    assert all(nf_member(g * f, I) for g in I.colon_poly(f).generators)
+    assert all(nf_member(g * h, I) for g in I.colon(J).generators for h in J.generators)
 
 
 @pytest.mark.parametrize("R", [RP, RQ], ids=["fp", "q"])
