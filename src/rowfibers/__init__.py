@@ -41,12 +41,10 @@ from .polyring import (
 )
 from .syzygy import (
     PresentationMatrix,
-    is_linear_presentation,
     matrix_from_rows,
     minimal_presentation,
     parse_matrix_rows,
     rank_modulo_linear_ideal,
-    syzygy_matrix,
 )
 
 __version__ = "0.1.0"
@@ -74,7 +72,6 @@ __all__ = [
     "UNIT_CODIM",
     "eliminate_first",
     "exact_divide",
-    "is_linear_presentation",
     "matrix_from_rows",
     "minimal_presentation",
     "normal_form",
@@ -82,5 +79,4 @@ __all__ = [
     "rank_modulo_linear_ideal",
     "reduced_groebner_basis",
     "syzygy_generators",
-    "syzygy_matrix",
 ]

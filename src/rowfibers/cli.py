@@ -10,7 +10,8 @@ Problem files are line-oriented:
     matrix M: presentation.mat
 
 Polynomials inside problem files must not contain whitespace; `name + poly`
-sums combine previously declared ideals with extra generators.  Output is
+sums combine previously declared ideals with extra generators.  A point
+coordinate is a constant written as in polynomials.  Output is
 human-readable by default and canonical JSON under --json; with a fixed seed
 the JSON is byte-identical across runs.
 
@@ -98,6 +99,8 @@ def parse_problem(text: str, base_dir: Path | None = None,
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "field":
+            if field is not None:
+                raise ProblemError("duplicate field declaration", lineno)
             parts = rest.split()
             if not parts:
                 raise ProblemError("field needs a characteristic", lineno)
@@ -115,6 +118,8 @@ def parse_problem(text: str, base_dir: Path | None = None,
         elif head == "vars":
             if field is None:
                 raise ProblemError("vars before field declaration", lineno)
+            if ring is not None:
+                raise ProblemError("duplicate vars declaration", lineno)
             try:
                 ring = PolyRing(field, rest.split(), order)
             except ValueError as exc:
@@ -184,30 +189,19 @@ def _parse_ideal_body(ring: PolyRing, ideals: dict, body: str, lineno: int) -> I
 
 
 def _parse_point_body(ring: PolyRing, body: str, lineno: int) -> ProjectivePoint:
-    F = ring.field
+    """Each coordinate is a constant written as in polynomials."""
+    origin = (0,) * ring.nvars
     coords = []
     for tok in body.split():
-        neg = tok.startswith("-")
-        if neg:
-            tok = tok[1:]
-        if tok == "i":
-            if F.sqrt_minus_one is None:
-                raise ProblemError("field has no i", lineno)
-            val = F.sqrt_minus_one
-        elif "/" in tok:
-            num, _, den = tok.partition("/")
-            try:
-                val = F.from_fraction(int(num), int(den))
-            except (ValueError, ZeroDivisionError):
-                raise ProblemError(f"bad coordinate {tok!r}", lineno)
-        else:
-            try:
-                val = F.from_int(int(tok))
-            except ValueError:
-                raise ProblemError(f"bad coordinate {tok!r}", lineno)
-        coords.append(F.neg(val) if neg else val)
+        try:
+            c = ring.parse(tok)
+        except ParseError as exc:
+            raise ProblemError(f"bad coordinate {tok!r}: {exc}", lineno)
+        if c.total_degree():
+            raise ProblemError(f"coordinate {tok!r} is not a constant", lineno)
+        coords.append(c.coeffs.get(origin, ring.field.zero))
     try:
-        return ProjectivePoint(F, coords)
+        return ProjectivePoint(ring.field, coords)
     except ValueError as exc:
         raise ProblemError(str(exc), lineno)
 
@@ -404,9 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--order", choices=["grevlex", "lex"], default="grevlex",
         help="default monomial order",
     )
-    shared.add_argument("--max-power", type=int, default=DEFAULT_MAX_POWER)
-    shared.add_argument("--strict", action="store_true",
-                        help="exit 4 on unconfirmed chain stabilization")
 
     parser = argparse.ArgumentParser(
         prog="rowfibers",
@@ -428,6 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ideal", default="I")
     p.add_argument("--at", required=True)
     p.add_argument("--kind", choices=["row", "corr", "morphism", "all"], default="all")
+    p.add_argument("--max-power", type=int, default=DEFAULT_MAX_POWER)
+    p.add_argument("--strict", action="store_true",
+                   help="exit 4 on unconfirmed chain stabilization")
     p = sub.add_parser("spread", parents=[shared], help="analytic spread")
     p.add_argument("--ideal", default="I")
     p.add_argument("--trials", type=int, default=3)

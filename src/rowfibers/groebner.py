@@ -67,7 +67,6 @@ from .polyring import (
     Polynomial,
     RingMismatchError,
     mono_divides,
-    mono_lcm,
     normalize,
     _rational,
 )
@@ -76,13 +75,11 @@ __all__ = [
     "GroebnerBasis",
     "normal_form",
     "reduced_groebner_basis",
-    "s_polynomial",
     "eliminate_first",
     "exact_divide",
     "module_normal_form",
     "module_groebner",
     "syzygy_generators",
-    "module_contains",
 ]
 
 
@@ -191,12 +188,6 @@ def normal_form(
     if with_quotients:
         return r, [Polynomial(ring, q) for q in quotients]
     return r
-
-
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    """The S-polynomial of f and g."""
-    a, b = _reducer(f, f.leading(order)), _reducer(g, g.leading(order))
-    return _s_pair(a, b, mono_lcm(a[0], b[0]), f.ring)
 
 
 def _s_pair(a: tuple, b: tuple, lcm: tuple, ring: PolyRing) -> Polynomial:
@@ -605,12 +596,6 @@ def module_groebner(vecs: Sequence[dict], order: MonomialOrder, field):
         if r:
             join(r)
     return basis
-
-
-def module_contains(
-    v: dict, module_gb: Sequence[dict], order: MonomialOrder, field
-) -> bool:
-    return not module_normal_form(v, module_gb, order, field)
 
 
 def syzygy_generators(gens: Sequence[Polynomial]):

@@ -306,11 +306,7 @@ class PolyRing:
             return self.zero()
         return Polynomial(self, {(0,) * self.nvars: c})
 
-    def gen(self, idx_or_name) -> "Polynomial":
-        if isinstance(idx_or_name, str):
-            idx = self.variables.index(idx_or_name)
-        else:
-            idx = idx_or_name
+    def gen(self, idx: int) -> "Polynomial":
         exps = [0] * self.nvars
         exps[idx] = 1
         return Polynomial(self, {tuple(exps): self.field.one})
@@ -562,9 +558,9 @@ def _tokenize(ring: PolyRing, text: str):
             tokens.append((ch, ch, pos))
             pos += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = pos
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("int", int(text[pos:j]), pos))
             pos = j

@@ -1,5 +1,6 @@
-"""Presentation matrices: syzygies, minimal presentations, generalized rows,
-and matrix rank modulo a linear ideal."""
+"""Presentation matrices: minimal presentations of homogeneous ideals,
+generalized rows, the matrix text format, and matrix rank modulo a linear
+ideal."""
 
 from __future__ import annotations
 
@@ -21,9 +22,7 @@ from .polyring import PolyRing, Polynomial
 
 __all__ = [
     "PresentationMatrix",
-    "syzygy_matrix",
     "minimal_presentation",
-    "is_linear_presentation",
     "rank_modulo_linear_ideal",
     "parse_matrix_rows",
 ]
@@ -139,29 +138,11 @@ def _check_syzygies(generators, columns):
             raise ValueError(f"column {j} is not a syzygy of the generators")
 
 
-def syzygy_matrix(gens: Sequence[Polynomial]) -> PresentationMatrix:
-    """The full first syzygy module of ``gens`` as a presentation matrix."""
-    for g in gens:
-        hom, deg = g.homogeneity()
-        if not hom or deg is None:
-            raise ValueError("generators must be nonzero and homogeneous")
-    columns = syzygy_generators(list(gens))
-    columns = _sorted_columns(gens, columns)
-    return PresentationMatrix(gens, columns)
-
-
 def _column_degree(gens, col):
     for g, entry in zip(gens, col):
         if not entry.is_zero():
             return entry.total_degree() + g.total_degree()
     raise ValueError("zero syzygy column")
-
-
-def _sorted_columns(gens, columns):
-    return sorted(
-        (c for c in columns if any(not e.is_zero() for e in c)),
-        key=lambda c: (_column_degree(gens, c), [str(e) for e in c]),
-    )
 
 
 def minimize_columns(gens, columns):
@@ -183,7 +164,11 @@ def minimize_columns(gens, columns):
     span = _Echelon(F, key)
     first_twist = None
     gb = None
-    for col in _sorted_columns(gens, columns):
+    columns = sorted(
+        (c for c in columns if any(not e.is_zero() for e in c)),
+        key=lambda c: (_column_degree(gens, c), [str(e) for e in c]),
+    )
+    for col in columns:
         v = {(i, m): c for i, p in enumerate(col) for m, c in p.coeffs.items()}
         twist = _column_degree(gens, col)
         if first_twist is None:
@@ -220,16 +205,6 @@ def _presentation(gens):
     """The minimal presentation matrix of ``gens``, which must be minimal
     generators of the ideal they generate."""
     return PresentationMatrix(gens, minimize_columns(gens, syzygy_generators(gens)))
-
-
-def is_linear_presentation(I: Ideal) -> bool:
-    """True iff the minimal presentation of I has only linear nonzero entries."""
-    gens, matrix = minimal_presentation(I)
-    if len({g.total_degree() for g in gens}) != 1:
-        raise ValueError("ideal is not equigenerated")
-    return all(
-        e.is_zero() or e.total_degree() == 1 for col in matrix.columns for e in col
-    )
 
 
 # ---------------------------------------------------------------------------

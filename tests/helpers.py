@@ -14,6 +14,7 @@ from rowfibers import (
     PolyRing,
     Polynomial,
     ProjectivePoint,
+    minimal_presentation,
     reduced_groebner_basis,
 )
 from rowfibers import groebner, ideals
@@ -273,6 +274,17 @@ def generalized_row_by_scaling(A, coords):
     return tuple(out)
 
 
+def is_linear_presentation(I):
+    """True iff the minimal presentation of the equigenerated ideal I has
+    only linear nonzero entries."""
+    gens, matrix = minimal_presentation(I)
+    if len({g.total_degree() for g in gens}) != 1:
+        raise ValueError("ideal is not equigenerated")
+    return all(
+        e.is_zero() or e.total_degree() == 1 for col in matrix.columns for e in col
+    )
+
+
 def full_power(I, d):
     """All products of d generators of I, in the order of the product loop
     [a*b for a in gens(I^(k-1)) for b in gens(I)]: the reference for
@@ -326,6 +338,16 @@ def normal_form_by_scan(f, basis, order, with_quotients=False):
     return r
 
 
+def s_polynomial(f, g, order):
+    """The S-polynomial of f and g through ``mul_term`` and the field's own
+    operations: the reference for the S-pairs ``groebner._buchberger``
+    forms from its reducers' tails."""
+    F = f.ring.field
+    (cf, mf), (cg, mg) = f.leading(order), g.leading(order)
+    lcm = mono_lcm(mf, mg)
+    return f.mul_term(F.inv(cf), mono_div(lcm, mf)) - g.mul_term(F.inv(cg), mono_div(lcm, mg))
+
+
 def buchberger_by_chain_scan(gens, order, reduced=None):
     """A Groebner basis of ``gens`` by the normal strategy with both criteria
     tested when a pair is popped: coprime leads, and the chain criterion,
@@ -356,11 +378,7 @@ def buchberger_by_chain_scan(gens, order, reduced=None):
             for k in range(len(basis))
         ):
             continue
-        (ci, mi), (cj, mj) = basis[i].leading(order), basis[j].leading(order)
-        F = basis[i].ring.field
-        s = basis[i].mul_term(F.inv(ci), mono_div(lcm, mi)) - basis[j].mul_term(
-            F.inv(cj), mono_div(lcm, mj)
-        )
+        s = s_polynomial(basis[i], basis[j], order)
         if reduced is not None:
             reduced.append(s)
         r = normal_form_by_scan(s, basis, order)

@@ -10,8 +10,8 @@ import time
 
 from rowfibers import Ideal, MapContext, ProjectivePoint, reduced_groebner_basis
 from rowfibers.cli import main as cli_main
-from rowfibers.groebner import normal_form, s_polynomial
-from rowfibers.syzygy import is_linear_presentation, matrix_from_rows, minimal_presentation, parse_matrix_rows
+from rowfibers.groebner import normal_form
+from rowfibers.syzygy import matrix_from_rows, minimal_presentation, parse_matrix_rows
 
 from helpers import (
     DATA,
@@ -21,6 +21,7 @@ from helpers import (
     double_cover_context,
     e_point,
     ideal,
+    is_linear_presentation,
     monomial_cover_context,
     monomials_up_to,
     oracle_colon_member,
@@ -31,6 +32,7 @@ from helpers import (
     random_monomial_ideal,
     random_target_point,
     ring,
+    s_polynomial,
     special_fiber_dimension_by_elimination,
     twisted_cubic_context,
 )

@@ -2,11 +2,12 @@
 determinism, and exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from rowfibers import MapContext
-from rowfibers.cli import main, parse_problem
+from rowfibers.cli import ProblemError, main, parse_problem
 
 from helpers import DATA, FP, count_eliminations
 
@@ -55,6 +56,8 @@ def test_parse_problem_golden():
         ("field 32003\nvars x y\npoint p: 0 0\n", "nonzero"),
         ("field 32003\nvars x y\nideal I: x + + y\n", "misplaced"),
         ("field 32003\n", "missing vars"),
+        ("field 32003\nvars a b c\nideal I: a^2 b^2 c^2\nfield 7\n", "duplicate field"),
+        ("field 32003\nvars x y\nideal I: x\nvars x y z\n", "duplicate vars"),
     ],
 )
 def test_parse_problem_errors(text, fragment):
@@ -74,6 +77,12 @@ def test_point_coordinate_forms():
     F = prob.ring.field
     assert prob.point("p").coords == (F.from_int(-3), F.sqrt_minus_one)
     assert prob.point("r").coords == (F.one, F.neg(F.sqrt_minus_one))
+    prob = parse_problem("field 0\nvars x y\npoint p: 1/3 -2/4\n")
+    assert prob.point("p").coords == (Fraction(1, 3), Fraction(-1, 2))
+    # a coordinate is a constant: no fraction over F_p, no variable, no 1/0
+    for field, coordinate in [("32003", "1/2"), ("0", "x"), ("0", "1/0")]:
+        with pytest.raises(ProblemError, match="line 3"):
+            parse_problem(f"field {field}\nvars x y\npoint p: 1 {coordinate}\n")
 
 
 # -- commands ----------------------------------------------------------------
@@ -262,6 +271,17 @@ def test_exit_strict_unconfirmed(capsys):
     # without --strict the same run reports confirmed=false and exits 0
     rep = run_json(capsys, "fiber", MONOMIAL, "--at", "q", "--max-power", "2")
     assert rep["results"]["confirmed"] is False
+
+
+@pytest.mark.parametrize("flag", [["--strict"], ["--max-power", "3"]])
+@pytest.mark.parametrize(
+    "argv",
+    [["gb", MONOMIAL, "J"], ["spread", QUARTIC], ["point-presentation", QUARTIC]],
+)
+def test_fiber_flags_are_refused_elsewhere(argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *flag])
+    assert exc.value.code == 2
 
 
 def test_order_flag(capsys):

@@ -23,10 +23,8 @@ from rowfibers import groebner
 from rowfibers.groebner import (
     _buchberger,
     _interreduce,
-    module_contains,
     module_groebner,
     module_normal_form,
-    s_polynomial,
 )
 from rowfibers.polyring import mono_divides
 
@@ -37,6 +35,7 @@ from helpers import (
     normal_form_by_scan,
     quartic_context,
     ring,
+    s_polynomial,
 )
 
 
@@ -281,7 +280,7 @@ def test_syzygies_generate_the_module():
         for i, p in enumerate(combo):
             for m, c in p.coeffs.items():
                 v[(i, m)] = c
-        assert module_contains(v, basis, order, F)
+        assert not module_normal_form(v, basis, order, F)
 
 
 # -- pair order --------------------------------------------------------------

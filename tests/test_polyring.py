@@ -208,7 +208,7 @@ def test_parse_i_over_extension():
     assert f * R.parse("s - i*t") == s * s + t * t
 
 
-@pytest.mark.parametrize("bad", ["", "x +", "w", "x^", "1/0", "x**2", "i"])
+@pytest.mark.parametrize("bad", ["", "x +", "w", "x^", "1/0", "x**2", "i", "x^²"])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ParseError):
         RQ.parse(bad)

@@ -11,13 +11,11 @@ from rowfibers import (
     Ideal,
     Polynomial,
     PresentationMatrix,
-    is_linear_presentation,
     matrix_from_rows,
     minimal_presentation,
     parse_matrix_rows,
     rank_modulo_linear_ideal,
     syzygy_generators,
-    syzygy_matrix,
 )
 from rowfibers.syzygy import minimize_columns
 
@@ -28,6 +26,7 @@ from helpers import (
     QQ,
     generalized_row_by_scaling,
     ideal,
+    is_linear_presentation,
     monomial_cover_context,
     quartic_context,
     random_target_point,
@@ -51,7 +50,7 @@ def test_rejects_non_syzygy_column():
 def test_koszul_presentation():
     R = ring(FP, "x", "y", "z")
     x, y, z = R.gens()
-    A = syzygy_matrix([x, y, z])
+    A = minimal_presentation(Ideal(R, [x, y, z]))[1]
     assert A.column_count() == 3
     assert sorted(A.column_degrees) == [2, 2, 2]
     for j in range(3):
