@@ -31,6 +31,10 @@ computed once per element: when it joins a Buchberger basis, or on first use
 by ``GroebnerBasis.reducers`` for a finished basis.  The S-pair itself is
 built from the two tails, whose leading terms cancel.
 
+Every comparison of monomials reads ``order.key``, which an order computes
+once per monomial and keeps for its lifetime, so a repeat is a dict lookup;
+``module_normal_form`` keeps its ``(component, monomial)`` keys for one call.
+
 The module engine divides in the same shape: ``module_normal_form`` reads
 each vector's lead component and monomial, inverse lead coefficient and tail
 (``_module_reducer``), computed once per element, and ``module_groebner``
@@ -68,6 +72,7 @@ from .polyring import (
     RingMismatchError,
     mono_divides,
     normalize,
+    _Keys,
     _rational,
 )
 
@@ -136,15 +141,7 @@ def normal_form(
     order = order or ring.default_order
     if reducers is None:
         reducers = [_reducer(g, g.leading(order)) for g in basis if not g.is_zero()]
-    okey = order.key
-    keymemo: dict = {}
-
-    def key(m):
-        k = keymemo.get(m)
-        if k is None:
-            k = keymemo[m] = okey(m)
-        return k
-
+    key = order.key
     p = ring.field.p
     work = dict(f.coeffs)
     remainder: dict = {}
@@ -504,15 +501,7 @@ def module_normal_form(
     element, in the same sequence, as ``_module_reducer`` gives it; every
     element must be nonzero.  The result is the same either way.
     """
-    mkey = _mod_key(order)
-    keymemo: dict = {}
-
-    def key(t):
-        k = keymemo.get(t)
-        if k is None:
-            k = keymemo[t] = mkey(t)
-        return k
-
+    key = _Keys(_mod_key(order)).__getitem__
     if reducers is None:
         reducers = [_module_reducer(b, max(b, key=key), field) for b in basis if b]
     p = field.p

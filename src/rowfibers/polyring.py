@@ -204,6 +204,17 @@ def _elim_key(block: int):
     return key
 
 
+class _Keys(dict):
+    """Keys computed on first use and kept: a repeat lookup is one dict read."""
+
+    def __init__(self, compute):
+        self._compute = compute
+
+    def __missing__(self, m):
+        k = self[m] = self._compute(m)
+        return k
+
+
 class MonomialOrder:
     """A multiplicative well-order on monomials.
 
@@ -212,8 +223,8 @@ class MonomialOrder:
     grevlex inside each block.
 
     ``key(exps)`` is the sort key: key(a) > key(b) iff a > b in this order.
-    It is bound once per order, since every comparison in the Groebner
-    engine goes through it.
+    It is computed once per monomial per order and kept with the order,
+    since every comparison in the Groebner engine goes through it.
     """
 
     GREVLEX = "grevlex"
@@ -228,11 +239,12 @@ class MonomialOrder:
         self.kind = kind
         self.block = block
         if kind == self.GREVLEX:
-            self.key = _grevlex_key
+            compute = _grevlex_key
         elif kind == self.LEX:
-            self.key = _lex_key
+            compute = _lex_key
         else:
-            self.key = _elim_key(block)
+            compute = _elim_key(block)
+        self.key = _Keys(compute).__getitem__
 
     @classmethod
     def grevlex(cls) -> "MonomialOrder":
@@ -291,6 +303,8 @@ class PolyRing:
         self.field = field
         self.variables = variables
         self.nvars = len(variables)
+        # longest first, so that the tokenizer tries "x1" before "x"
+        self._names = sorted(variables, key=len, reverse=True)
         self.default_order = default_order or MonomialOrder.grevlex()
 
     # -- constructors -------------------------------------------------------
@@ -545,7 +559,7 @@ class Polynomial:
 
 
 def _tokenize(ring: PolyRing, text: str):
-    names = sorted(ring.variables, key=len, reverse=True)
+    names = ring._names
     has_i = ring.field.sqrt_minus_one is not None
     pos = 0
     tokens = []
@@ -565,15 +579,23 @@ def _tokenize(ring: PolyRing, text: str):
             tokens.append(("int", int(text[pos:j]), pos))
             pos = j
             continue
+        prefix = False
         for name in names:
             if text.startswith(name, pos):
                 nxt = pos + len(name)
-                # reject a partial identifier match like "ab" when only "a" is declared
-                if nxt >= len(text) or not (text[nxt].isalnum() or text[nxt] == "_"):
+                # a declared name is a token unless an identifier goes on past
+                # it, as "ab" does when only "a" is declared
+                if nxt >= len(text) or not (name + text[nxt]).isidentifier():
                     tokens.append(("var", name, pos))
                     pos = nxt
                     break
+                prefix = True
         else:
+            if prefix:
+                end = pos + 1
+                while end < len(text) and text[pos : end + 1].isidentifier():
+                    end += 1
+                raise ParseError(f"unknown name {text[pos:end]!r}", pos)
             if has_i and ch == "i":
                 tokens.append(("i", "i", pos))
                 pos += 1
@@ -585,7 +607,7 @@ def _tokenize(ring: PolyRing, text: str):
 def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
     tokens = _tokenize(ring, text)
     F = ring.field
-    result = ring.zero()
+    coeffs: dict = {}
     k = 0
     nt = len(tokens)
     if nt == 0:
@@ -646,9 +668,14 @@ def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
             raise ParseError("dangling '*'", tokens[k - 1][2])
         if not saw_factor:
             raise ParseError("empty term", tokens[k - 1][2] if k else 0)
-        result = result + ring.monomial(exps, coeff)
+        m = tuple(exps)
+        total = F.add(coeffs.get(m, F.zero), coeff)
+        if F.is_zero(total):
+            coeffs.pop(m, None)
+        else:
+            coeffs[m] = total
         if k >= nt:
-            return result
+            return Polynomial(ring, coeffs)
         sign = 1
         while k < nt and tokens[k][0] in "+-":
             if tokens[k][0] == "-":

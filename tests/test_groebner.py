@@ -19,7 +19,7 @@ from rowfibers import (
     reduced_groebner_basis,
     syzygy_generators,
 )
-from rowfibers import groebner
+from rowfibers import groebner, polyring
 from rowfibers.groebner import (
     _buchberger,
     _interreduce,
@@ -33,6 +33,7 @@ from helpers import (
     QQ,
     buchberger_by_chain_scan,
     normal_form_by_scan,
+    plane_cubics_context,
     quartic_context,
     ring,
     s_polynomial,
@@ -237,6 +238,50 @@ def test_free_of_needs_its_elimination_order():
         reduced_groebner_basis(gens, R4P.default_order, free_of=1)
     with pytest.raises(ValueError, match="elim"):
         reduced_groebner_basis(gens, MonomialOrder.elimination(2), free_of=1)
+
+
+# -- order keys --------------------------------------------------------------
+
+
+def _count_grevlex_keys(monkeypatch):
+    """A list that grows by the argument of each ``_grevlex_key`` call made
+    by an order built after this patch."""
+    keyed = []
+    original = polyring._grevlex_key
+
+    def counted(exps):
+        keyed.append(exps)
+        return original(exps)
+
+    monkeypatch.setattr(polyring, "_grevlex_key", counted)
+    return keyed
+
+
+def test_grevlex_keys_each_monomial_once_per_order(monkeypatch):
+    gens = list(plane_cubics_context().generators)
+    keyed = _count_grevlex_keys(monkeypatch)
+    order = MonomialOrder.grevlex()
+    basis = reduced_groebner_basis(gens, order)
+    assert basis.elements == reduced_groebner_basis(gens, gens[0].ring.default_order).elements
+    assert keyed and len(set(keyed)) == len(keyed)
+
+
+def test_elimination_keys_each_monomial_once_per_order(monkeypatch):
+    # the graph of the quartic: T_i - g_i in k[s, t, T0..T3], s and t dropped
+    gens = list(quartic_context().generators)
+    big = ring(FP, "s", "t", "T0", "T1", "T2", "T3")
+    lifted = [
+        big.gens()[2 + i] - Polynomial(big, {m + (0,) * 4: c for m, c in g.coeffs.items()})
+        for i, g in enumerate(gens)
+    ]
+    keyed = _count_grevlex_keys(monkeypatch)
+    _, out = eliminate_first(lifted, 2)
+    assert len(out) > 1
+    # an elim(2) key is the grevlex key of the head block, then of the tail
+    assert len(keyed) % 2 == 0
+    monomials = [h + t for h, t in zip(keyed[0::2], keyed[1::2])]
+    assert all(len(h) == 2 for h in keyed[0::2])
+    assert len(set(monomials)) == len(monomials)
 
 
 # -- syzygies ----------------------------------------------------------------

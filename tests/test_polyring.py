@@ -127,6 +127,29 @@ def test_order_keys_compare_like_reference_keys(pair):
         assert order.compare(a, b) == expected, order
 
 
+# one set of orders for every example: each keeps the keys it has computed,
+# so an entry that went stale or leaked into another order shows up here
+LONG_LIVED_ORDERS = [MonomialOrder.grevlex(), MonomialOrder.lex()]
+LONG_LIVED_ORDERS += [MonomialOrder.elimination(k) for k in range(1, 6)]
+
+
+def _flat_reference_key(order, exps):
+    ref = _reference_key(order, exps)
+    return ref[0] + ref[1] if order.kind == MonomialOrder.ELIM else ref
+
+
+@settings(max_examples=300)
+@given(pair=exp_pairs)
+def test_long_lived_orders_key_like_reference_keys(pair):
+    a, b = pair
+    orders = [o for o in LONG_LIVED_ORDERS if o.block <= len(a)]
+    for order in orders:
+        assert order.key(a) == _flat_reference_key(order, a), order
+        assert order.key(b) == _flat_reference_key(order, b), order
+        expected = _sign(_reference_key(order, a), _reference_key(order, b))
+        assert order.compare(a, b) == expected, order
+
+
 @settings(max_examples=300)
 @given(pair=exp_pairs)
 def test_monomial_kernels_match_zip_definitions(pair):
@@ -212,6 +235,27 @@ def test_parse_i_over_extension():
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ParseError):
         RQ.parse(bad)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x²", "unexpected character '²' (at column 2)"),
+        ("2*xé", "unknown name 'xé' (at column 3)"),
+        ("xy", "unknown name 'xy' (at column 1)"),
+    ],
+)
+def test_parse_names_the_wrong_text(text, message):
+    with pytest.raises(ParseError) as err:
+        RQ.parse(text)
+    assert str(err.value) == message
+
+
+def test_parse_collects_like_terms():
+    x = RQ.gens()[0]
+    assert RQ.parse("x - x").is_zero()
+    assert RQ.parse("2*x + 3*x") == x.scale(5)
+    assert RQ.parse("x + y - x") == RQ.gens()[1]
 
 
 # -- normalization and rendering --------------------------------------------
