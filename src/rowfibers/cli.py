@@ -9,8 +9,13 @@ Problem files are line-oriented:
     point q: 0 0 0 0 1
     matrix M: presentation.mat
 
-Polynomials inside problem files must not contain whitespace; `name + poly`
-sums combine previously declared ideals with extra generators.  A point
+Text after `#` is a comment, here and in matrix files.  Generators and
+point coordinates are separated by spaces, so a polynomial inside a problem
+file contains none; `name + poly` sums combine previously declared ideals
+with extra generators, so an ideal's name must not read as a polynomial (a
+variable, `i` over a field with it, a constant).  Every polynomial, matrix
+entry and point coordinate is read with the one grammar of `PolyRing.parse`:
+names are read whole, so `x*y` and `i*x` need their `*`.  A point
 coordinate is a constant written as in polynomials.  Output is
 human-readable by default and canonical JSON under --json; with a fixed seed
 the JSON is byte-identical across runs.
@@ -30,7 +35,6 @@ from pathlib import Path
 
 from .fibers import (
     DEFAULT_MAX_POWER,
-    BasePointError,
     ConsistencyError,
     MapContext,
     ProjectivePoint,
@@ -47,10 +51,7 @@ EXIT_UNCONFIRMED = 4
 
 
 class ProblemError(ValueError):
-    def __init__(self, message: str, lineno: int | None = None):
-        if lineno is not None:
-            message = f"line {lineno}: {message}"
-        super().__init__(message)
+    """Invalid problem text, or a name that the problem file does not declare."""
 
 
 class ProblemFile:
@@ -85,70 +86,54 @@ def parse_problem(text: str, base_dir: Path | None = None,
     ideals: dict = {}
     points: dict = {}
     matrices: dict = {}
-    names: set = set()
-
-    def declare(name: str, lineno: int):
-        if name in names:
-            raise ProblemError(f"duplicate name {name!r}", lineno)
-        names.add(name)
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
-        if head == "field":
-            if field is not None:
-                raise ProblemError("duplicate field declaration", lineno)
-            parts = rest.split()
-            if not parts:
-                raise ProblemError("field needs a characteristic", lineno)
-            try:
-                p = int(parts[0])
-            except ValueError:
-                raise ProblemError(f"bad characteristic {parts[0]!r}", lineno)
-            with_i = parts[1:] == ["with-i"]
-            if parts[1:] and not with_i:
-                raise ProblemError(f"unexpected field options {parts[1:]}", lineno)
-            try:
-                field = CoefficientField(p, with_i=with_i)
-            except ValueError as exc:
-                raise ProblemError(str(exc), lineno)
-        elif head == "vars":
-            if field is None:
-                raise ProblemError("vars before field declaration", lineno)
-            if ring is not None:
-                raise ProblemError("duplicate vars declaration", lineno)
-            try:
+        # every ValueError below, a ProblemError or one from the ring, the
+        # polynomial grammar or a matrix file, leaves with the line number
+        try:
+            if head == "field":
+                if field is not None:
+                    raise ProblemError("duplicate field declaration")
+                if not rest:
+                    raise ProblemError("field needs a characteristic")
+                p, *options = rest.split()
+                if options not in ([], ["with-i"]):
+                    raise ProblemError(f"unexpected field options {options}")
+                field = CoefficientField(int(p), with_i=bool(options))
+            elif head == "vars":
+                if field is None:
+                    raise ProblemError("vars before field declaration")
+                if ring is not None:
+                    raise ProblemError("duplicate vars declaration")
                 ring = PolyRing(field, rest.split(), order)
-            except ValueError as exc:
-                raise ProblemError(str(exc), lineno)
-        elif head in ("ideal", "point", "matrix"):
-            if ring is None:
-                raise ProblemError(f"{head} before vars declaration", lineno)
-            name, colon, body = rest.partition(":")
-            name = name.strip()
-            body = body.strip()
-            if not colon or not name:
-                raise ProblemError(f"expected `{head} <name>: ...`", lineno)
-            declare(name, lineno)
-            if head == "ideal":
-                ideals[name] = _parse_ideal_body(ring, ideals, body, lineno)
-            elif head == "point":
-                points[name] = _parse_point_body(ring, body, lineno)
+            elif head in ("ideal", "point", "matrix"):
+                if ring is None:
+                    raise ProblemError(f"{head} before vars declaration")
+                name, colon, body = rest.partition(":")
+                name = name.strip()
+                body = body.strip()
+                if not colon or not name:
+                    raise ProblemError(f"expected `{head} <name>: ...`")
+                if name in ideals or name in points or name in matrices:
+                    raise ProblemError(f"duplicate name {name!r}")
+                if head == "ideal":
+                    ideals[name] = _parse_ideal(ring, ideals, name, body)
+                elif head == "point":
+                    points[name] = _parse_point_body(ring, body)
+                elif base_dir is None:
+                    raise ProblemError("matrix references need a base directory")
+                elif not (base_dir / body).is_file():
+                    raise ProblemError(f"matrix file {body!r} not found")
+                else:
+                    matrices[name] = parse_matrix_rows(ring, (base_dir / body).read_text())
             else:
-                if base_dir is None:
-                    raise ProblemError("matrix references need a base directory", lineno)
-                path = base_dir / body
-                if not path.is_file():
-                    raise ProblemError(f"matrix file {body!r} not found", lineno)
-                try:
-                    matrices[name] = parse_matrix_rows(ring, path.read_text())
-                except ValueError as exc:
-                    raise ProblemError(str(exc), lineno)
-        else:
-            raise ProblemError(f"unknown directive {head!r}", lineno)
+                raise ProblemError(f"unknown directive {head!r}")
+        except ValueError as exc:
+            raise ProblemError(f"line {lineno}: {exc}") from exc
     if field is None:
         raise ProblemError("missing field declaration")
     if ring is None:
@@ -156,27 +141,24 @@ def parse_problem(text: str, base_dir: Path | None = None,
     return ProblemFile(ring, ideals, points, matrices)
 
 
-def _parse_ideal_body(ring: PolyRing, ideals: dict, body: str, lineno: int) -> Ideal:
-    tokens = body.split()
-    if not tokens:
-        raise ProblemError("ideal needs at least one generator", lineno)
-    gens = []
-    if "+" in tokens:
-        items, expect_item = [], True
-        for tok in tokens:
-            if tok == "+":
-                if expect_item:
-                    raise ProblemError("misplaced '+' in ideal sum", lineno)
-                expect_item = True
-            else:
-                if not expect_item:
-                    raise ProblemError("missing '+' between summands", lineno)
-                items.append(tok)
-                expect_item = False
-        if expect_item:
-            raise ProblemError("trailing '+' in ideal sum", lineno)
+def _parse_ideal(ring: PolyRing, ideals: dict, name: str, body: str) -> Ideal:
+    """Generators separated by spaces, or summands joined by '+'; a summand
+    is a declared ideal or a polynomial, so an ideal's name must not read as
+    a polynomial."""
+    try:
+        ring.parse(name)
+    except ParseError:
+        pass
     else:
-        items = tokens
+        raise ProblemError(f"ideal name {name!r} reads as a polynomial")
+    items = body.split()
+    if not items:
+        raise ProblemError("ideal needs at least one generator")
+    if "+" in items:
+        items, pluses = items[::2], items[1::2]
+        if "+" in items or pluses != ["+"] * (len(items) - 1):
+            raise ProblemError("misplaced '+' in ideal sum")
+    gens = []
     for item in items:
         if item in ideals:
             gens.extend(ideals[item].generators)
@@ -184,11 +166,11 @@ def _parse_ideal_body(ring: PolyRing, ideals: dict, body: str, lineno: int) -> I
             try:
                 gens.append(ring.parse(item))
             except ParseError as exc:
-                raise ProblemError(f"bad polynomial {item!r}: {exc}", lineno)
+                raise ProblemError(f"bad polynomial {item!r}: {exc}")
     return Ideal(ring, gens)
 
 
-def _parse_point_body(ring: PolyRing, body: str, lineno: int) -> ProjectivePoint:
+def _parse_point_body(ring: PolyRing, body: str) -> ProjectivePoint:
     """Each coordinate is a constant written as in polynomials."""
     origin = (0,) * ring.nvars
     coords = []
@@ -196,14 +178,11 @@ def _parse_point_body(ring: PolyRing, body: str, lineno: int) -> ProjectivePoint
         try:
             c = ring.parse(tok)
         except ParseError as exc:
-            raise ProblemError(f"bad coordinate {tok!r}: {exc}", lineno)
+            raise ProblemError(f"bad coordinate {tok!r}: {exc}")
         if c.total_degree():
-            raise ProblemError(f"coordinate {tok!r} is not a constant", lineno)
+            raise ProblemError(f"coordinate {tok!r} is not a constant")
         coords.append(c.coeffs.get(origin, ring.field.zero))
-    try:
-        return ProjectivePoint(ring.field, coords)
-    except ValueError as exc:
-        raise ProblemError(str(exc), lineno)
+    return ProjectivePoint(ring.field, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +440,10 @@ def main(argv=None) -> int:
     except UnconfirmedStabilization:
         print("error: correspondence chain did not confirm stabilization", file=sys.stderr)
         return EXIT_UNCONFIRMED
-    except (ProblemError, ParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (SamplingError, ConsistencyError, BasePointError) as exc:
+    except (SamplingError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
     report = {

@@ -303,8 +303,8 @@ class PolyRing:
         self.field = field
         self.variables = variables
         self.nvars = len(variables)
-        # longest first, so that the tokenizer tries "x1" before "x"
-        self._names = sorted(variables, key=len, reverse=True)
+        # the tokenizer's name -> index lookup
+        self._index = {v: j for j, v in enumerate(variables)}
         self.default_order = default_order or MonomialOrder.grevlex()
 
     # -- constructors -------------------------------------------------------
@@ -358,6 +358,8 @@ class PolyRing:
         Terms joined by + / -; a term is a product of factors with optional
         '*'; factors are integer (or num/den) coefficients, the symbol ``i``
         when the field carries one, and variables with optional ^ exponents.
+        A run of identifier characters is one name, so ``xy`` is the
+        variable xy or an unknown name, never x*y; ``i*x`` needs its '*'.
         """
         return _parse_polynomial(self, text)
 
@@ -559,128 +561,92 @@ class Polynomial:
 
 
 def _tokenize(ring: PolyRing, text: str):
-    names = ring._names
+    """(kind, value, column) tokens, then an ("end", None, len(text)) token.
+
+    An identifier run is read whole: it is a declared variable (value: its
+    index), ``i`` where the field has it, or an unknown name.
+    """
     has_i = ring.field.sqrt_minus_one is not None
     pos = 0
     tokens = []
     while pos < len(text):
         ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
+        end = pos + 1
         if ch in "+-*^/":
             tokens.append((ch, ch, pos))
-            pos += 1
-            continue
-        if "0" <= ch <= "9":
-            j = pos
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(("int", int(text[pos:j]), pos))
-            pos = j
-            continue
-        prefix = False
-        for name in names:
-            if text.startswith(name, pos):
-                nxt = pos + len(name)
-                # a declared name is a token unless an identifier goes on past
-                # it, as "ab" does when only "a" is declared
-                if nxt >= len(text) or not (name + text[nxt]).isidentifier():
-                    tokens.append(("var", name, pos))
-                    pos = nxt
-                    break
-                prefix = True
-        else:
-            if prefix:
-                end = pos + 1
-                while end < len(text) and text[pos : end + 1].isidentifier():
-                    end += 1
-                raise ParseError(f"unknown name {text[pos:end]!r}", pos)
-            if has_i and ch == "i":
-                tokens.append(("i", "i", pos))
-                pos += 1
-                continue
+        elif "0" <= ch <= "9":
+            while end < len(text) and "0" <= text[end] <= "9":
+                end += 1
+            tokens.append(("int", int(text[pos:end]), pos))
+        elif ch.isidentifier():
+            # one character at a time, so that a long run costs linear time
+            while end < len(text) and ("_" + text[end]).isidentifier():
+                end += 1
+            name = text[pos:end]
+            if name in ring._index:
+                tokens.append(("var", ring._index[name], pos))
+            elif has_i and name == "i":
+                tokens.append(("i", name, pos))
+            else:
+                raise ParseError(f"unknown name {name!r}", pos)
+        elif not ch.isspace():
             raise ParseError(f"unexpected character {ch!r}", pos)
+        pos = end
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
 def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
     tokens = _tokenize(ring, text)
+    if len(tokens) == 1:
+        raise ParseError("empty polynomial")
     F = ring.field
     coeffs: dict = {}
     k = 0
-    nt = len(tokens)
-    if nt == 0:
-        raise ParseError("empty polynomial")
-    sign = 1
-    # leading sign
-    while k < nt and tokens[k][0] in "+-":
-        if tokens[k][0] == "-":
-            sign = -sign
-        k += 1
-    while True:
-        if k >= nt:
-            raise ParseError("expected a term", tokens[-1][2] if tokens else 0)
-        coeff = F.from_int(sign)
+    # one term a pass: signs, then factors joined by '*' or by nothing
+    while tokens[k][0] != "end":
+        coeff = F.one
+        while tokens[k][0] in "+-":
+            if tokens[k][0] == "-":
+                coeff = F.neg(coeff)
+            k += 1
         exps = [0] * ring.nvars
-        saw_factor = False
-        expect_factor = False
-        while k < nt and tokens[k][0] not in "+-":
+        while True:
             kind, val, pos = tokens[k]
-            if kind == "*":
-                if not saw_factor or expect_factor:
-                    raise ParseError("unexpected '*'", pos)
-                expect_factor = True
-                k += 1
-                continue
+            k += 1
             if kind == "int":
-                num = val
-                k += 1
-                if k < nt and tokens[k][0] == "/":
+                if tokens[k][0] == "/":
                     if F.p:
                         raise ParseError("fractions are only allowed over the rationals", tokens[k][2])
-                    k += 1
-                    if k >= nt or tokens[k][0] != "int" or tokens[k][1] == 0:
+                    if tokens[k + 1][0] != "int" or tokens[k + 1][1] == 0:
                         raise ParseError("expected nonzero denominator", pos)
-                    coeff = F.mul(coeff, F.from_fraction(num, tokens[k][1]))
-                    k += 1
+                    coeff = F.mul(coeff, F.from_fraction(val, tokens[k + 1][1]))
+                    k += 2
                 else:
-                    coeff = F.mul(coeff, F.from_int(num))
+                    coeff = F.mul(coeff, F.from_int(val))
             elif kind == "i":
                 coeff = F.mul(coeff, F.sqrt_minus_one)
-                k += 1
             elif kind == "var":
-                idx = ring.variables.index(val)
-                e = 1
-                k += 1
-                if k < nt and tokens[k][0] == "^":
-                    k += 1
-                    if k >= nt or tokens[k][0] != "int":
+                if tokens[k][0] == "^":
+                    if tokens[k + 1][0] != "int":
                         raise ParseError("expected integer exponent", pos)
-                    e = tokens[k][1]
-                    k += 1
-                exps[idx] += e
+                    exps[val] += tokens[k + 1][1]
+                    k += 2
+                else:
+                    exps[val] += 1
             else:
-                raise ParseError(f"unexpected token {val!r}", pos)
-            saw_factor = True
-            expect_factor = False
-        if expect_factor:
-            raise ParseError("dangling '*'", tokens[k - 1][2])
-        if not saw_factor:
-            raise ParseError("empty term", tokens[k - 1][2] if k else 0)
+                raise ParseError(f"unexpected {repr(val) if val else 'end of text'}", pos)
+            if tokens[k][0] == "*":
+                k += 1
+            elif tokens[k][0] not in ("int", "i", "var"):
+                break
         m = tuple(exps)
         total = F.add(coeffs.get(m, F.zero), coeff)
         if F.is_zero(total):
             coeffs.pop(m, None)
         else:
             coeffs[m] = total
-        if k >= nt:
-            return Polynomial(ring, coeffs)
-        sign = 1
-        while k < nt and tokens[k][0] in "+-":
-            if tokens[k][0] == "-":
-                sign = -sign
-            k += 1
+    return Polynomial(ring, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -274,11 +274,14 @@ def _bareiss_rank(rows, ring: PolyRing) -> int:
 
 
 def parse_matrix_rows(ring: PolyRing, text: str):
-    """Parse the golden-input matrix format into a list of rows of polynomials."""
+    """Parse the golden-input matrix format into a list of rows of polynomials.
+
+    A row is comma-separated polynomials; text after '#' is a comment.
+    """
     rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         try:
             rows.append([ring.parse(part) for part in line.split(",")])

@@ -58,6 +58,12 @@ def test_parse_problem_golden():
         ("field 32003\n", "missing vars"),
         ("field 32003\nvars a b c\nideal I: a^2 b^2 c^2\nfield 7\n", "duplicate field"),
         ("field 32003\nvars x y\nideal I: x\nvars x y z\n", "duplicate vars"),
+        # a summand that names both an ideal and a variable would read as the ideal
+        ("field 32003\nvars a b c\nideal a: b^2\nideal I: a c\n",
+         "line 3: ideal name 'a' reads as a polynomial"),
+        ("field 32029 with-i\nvars x y\nideal i: x\n", "line 3: ideal name 'i'"),
+        ("field 32003\nvars x y\nideal I: x +\n", "line 3: misplaced"),
+        ("field 32003\nvars x y\nideal I: x y + x\n", "line 3: misplaced"),
     ],
 )
 def test_parse_problem_errors(text, fragment):

@@ -1,5 +1,8 @@
 """Fields, monomial orders, polynomial arithmetic, parsing, rendering."""
 
+import json
+import re
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 from rowfibers import CoefficientField, MonomialOrder, ParseError, PolyRing, Polynomial
 from rowfibers.polyring import mono_div, mono_divides, mono_lcm, normalize
 
-from helpers import FP, FPI, QQ, ideal, ring
+from helpers import DATA, FP, FPI, QQ, ideal, ring
 
 
 # -- coefficient fields ------------------------------------------------------
@@ -237,18 +240,67 @@ def test_parse_rejects_garbage(bad):
         RQ.parse(bad)
 
 
+RXI = ring(FPI, "x", "y", "xy")
+
+
+NAMING_CASES = [
+    (RQ, "x²", "unexpected character '²' (at column 2)"),
+    (RQ, "2*xé", "unknown name 'xé' (at column 3)"),
+    (RQ, "xy", "unknown name 'xy' (at column 1)"),
+    (RQ, "wz", "unknown name 'wz' (at column 1)"),
+    (RXI, "ix", "unknown name 'ix' (at column 1)"),
+]
+
+
 @pytest.mark.parametrize(
-    "text, message",
-    [
-        ("x²", "unexpected character '²' (at column 2)"),
-        ("2*xé", "unknown name 'xé' (at column 3)"),
-        ("xy", "unknown name 'xy' (at column 1)"),
-    ],
+    "R, text, message", NAMING_CASES, ids=[f"{t}-{m}" for _, t, m in NAMING_CASES]
 )
-def test_parse_names_the_wrong_text(text, message):
+def test_parse_names_the_wrong_text(R, text, message):
     with pytest.raises(ParseError) as err:
-        RQ.parse(text)
+        R.parse(text)
     assert str(err.value) == message
+
+
+GRAMMAR_PIN = json.loads((DATA / "grammar_pin.json").read_text(encoding="utf-8"))
+PIN_RINGS = {
+    "Q[x,y,z]": RQ,
+    "F_32029-with-i[x,y,xy]": RXI,
+    "F_7[x,x1,y]": ring(CoefficientField(7), "x", "x1", "y"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIN_RINGS))
+def test_parse_keeps_the_pinned_grammar(name):
+    """The pin holds 700 seeded random strings a ring, half run together from
+    the variables, xy, w, i, x1, digits, spaces, + - * ^ /, ², é and _, half
+    sums of products with one such piece inserted, each with the text of its
+    polynomial or null, as parsed before identifier runs were read whole.
+    Since then a run holding i beside other identifier characters (ixy, i3,
+    ii) is an unknown name rather than i times what follows; nothing else
+    changed."""
+    R = PIN_RINGS[name]
+    newly_refused = []
+    for text, pinned in GRAMMAR_PIN[name]:
+        try:
+            parsed = R.parse(text).text()
+        except ParseError:
+            parsed = None
+        if parsed is None and pinned is not None:
+            newly_refused.append(text)
+        else:
+            assert parsed == pinned, text
+    runs = re.compile(r"[^\W\d]\w*")
+    for text in newly_refused:
+        assert any("i" in run and run != "i" for run in runs.findall(text)), text
+    assert bool(newly_refused) == (R is RXI)
+
+
+def test_parse_reads_a_long_name_in_linear_time():
+    # a scan that re-reads the run for each character takes seconds here
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="unknown name"):
+        RQ.parse("x" * 100_000)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_parse_collects_like_terms():

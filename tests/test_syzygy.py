@@ -155,6 +155,15 @@ def test_parse_matrix_rows_golden():
     assert [I.is_linear() for I in row_ideals] == [True, False, False, True]
 
 
+def test_parse_matrix_rows_drops_comments():
+    R = ring(FPI, "s", "t")
+    text = (DATA / "quartic_first.mat").read_text()
+    commented = "".join(
+        f"{line}  # row {k}\n" for k, line in enumerate(text.splitlines())
+    )
+    assert parse_matrix_rows(R, commented) == parse_matrix_rows(R, text)
+
+
 def test_parse_matrix_rows_errors():
     R = ring(FP, "s", "t")
     with pytest.raises(ValueError, match="no rows"):
