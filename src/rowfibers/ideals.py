@@ -1,10 +1,22 @@
 """Ideal-level algebra: sums, products, powers, intersections, colons,
-saturations, equality, codimension, linearity, and minimal generators."""
+saturations, equality, codimension, linearity, and minimal generators.
+
+When every operand is a monomial ideal (each generator a single term), the
+product, the power, the minimal generators, the intersection, and the colon
+and saturation by a monomial ideal work on exponent tuples alone, as in
+Miller and Sturmfels, *Combinatorial Commutative Algebra*, ch. 1, and build
+each result polynomial once, at the end.  Such a result has exactly the
+generators, in the same order and with the same coefficients, that the
+polynomial route gives: ``MapContext.point_presentation`` samples its points
+in the order of the generators of I^d, so a reordered list would change the
+points it reports.
+"""
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import combinations
+from operator import le, sub
 from typing import Optional, Sequence
 
 from .groebner import (
@@ -22,6 +34,7 @@ from .polyring import (
     mono_degree,
     mono_divides,
     mono_lcm,
+    mono_mul,
 )
 
 __all__ = ["Ideal", "UNIT_CODIM"]
@@ -29,12 +42,34 @@ __all__ = ["Ideal", "UNIT_CODIM"]
 
 def _minimal_monomials(exps):
     """Minimal elements of a monomial set under divisibility (deduplicated)."""
-    uniq = sorted(set(exps), key=lambda m: (mono_degree(m), m))
+    uniq = sorted(set(exps), key=lambda m: (sum(m), m))
     out = []
     for m in uniq:
-        if not any(mono_divides(k, m) for k in out):
+        if not any(all(map(le, k, m)) for k in out):
             out.append(m)
     return out
+
+
+def _lcm_meet(a, b):
+    """Minimal exponents generating the intersection of the monomial ideals
+    generated by ``a`` and ``b``: the minimal pairwise lcms."""
+    return _minimal_monomials([mono_lcm(x, y) for x in a for y in b])
+
+
+def _colon_exps(exps, fm):
+    """Exponents generating I : x^fm for the monomial ideal I generated by
+    ``exps``: (1) when a generator divides x^fm, else each generator divided
+    by its gcd with x^fm."""
+    if any(all(map(le, e, fm)) for e in exps):
+        return [(0,) * len(fm)]
+    # max(g, m) - m = max(g - m, 0)
+    return [tuple(map(sub, map(max, e, fm), fm)) for e in exps]
+
+
+def _saturate_exps(exps, fm):
+    """Exponents generating I : (x^fm)^infty for the monomial ideal I
+    generated by ``exps``: I with the variables of x^fm set to 1."""
+    return [tuple(0 if m else g for g, m in zip(e, fm)) for e in exps]
 
 
 def _adjoin(ring: PolyRing, count: int, front: bool):
@@ -56,12 +91,21 @@ def _adjoin(ring: PolyRing, count: int, front: bool):
     return big, lambda f: Polynomial(big, {m + pad: c for m, c in f.coeffs.items()})
 
 
-def _minimalized(ring: PolyRing, gens):
-    """(the ideal of the minimal generators of ``gens``, those generators in
-    the order of ``gens``)."""
-    J = Ideal(ring, gens)
+def _minimalized(J: "Ideal"):
+    """(the ideal of the minimal generators of J, the ideal of the same
+    generators in the order of J's)."""
     kept = J._minimal_positions()
-    return Ideal(ring, [J.generators[i] for i in kept]), [J.generators[i] for i in sorted(kept)]
+    return J._select(kept), J._select(sorted(kept))
+
+
+def _monomial_ideal(ring: PolyRing, exps, coeffs=None) -> "Ideal":
+    """The ideal generated by the terms c*x^e, e over ``exps`` and c over
+    ``coeffs`` (all one when omitted), in their order."""
+    if coeffs is None:
+        coeffs = [ring.field.one] * len(exps)
+    J = Ideal(ring, [Polynomial(ring, {e: c}) for e, c in zip(exps, coeffs)])
+    J._mono_exps = exps
+    return J
 
 
 # Sentinel codimension of the unit ideal; deliberately distinct from any
@@ -88,7 +132,7 @@ class Ideal:
         self.generators = tuple(g for g in generators if not g.is_zero())
         self._gb: Optional[GroebnerBasis] = None
         self._mono_exps = False  # False = not yet computed; None = not monomial
-        # (minimal I^k, its generators in product order) for k = 1, 2, ... as far as computed
+        # (minimal I^k, the same generators in product order) for k = 1, 2, ... as far as computed
         self._powers: tuple = ()
 
     # -- basics -------------------------------------------------------------
@@ -104,6 +148,13 @@ class Ideal:
                 exps.append(next(iter(g.coeffs)))
             self._mono_exps = exps
         return self._mono_exps
+
+    def _select(self, positions) -> "Ideal":
+        """The ideal of the generators at these positions, in their order."""
+        J = Ideal(self.ring, [self.generators[i] for i in positions])
+        if self._mono_exps:
+            J._mono_exps = [self._mono_exps[i] for i in positions]
+        return J
 
     def groebner(self) -> GroebnerBasis:
         """The reduced Groebner basis in the ring's default order."""
@@ -172,10 +223,23 @@ class Ideal:
         return Ideal(self.ring, self.generators + other.generators)
 
     def __mul__(self, other: "Ideal") -> "Ideal":
+        """The products f*g, f over self's generators and g over other's.
+        For two monomial ideals each product is one term, its exponents
+        added and its coefficients multiplied."""
         self._check(other)
-        return Ideal(
+        a, b = self.monomial_exponents(), other.monomial_exponents()
+        if a is None or b is None:
+            return Ideal(
+                self.ring,
+                [f * g for f in self.generators for g in other.generators],
+            )
+        mul = self.ring.field.mul
+        ca = [f.coeffs[x] for x, f in zip(a, self.generators)]
+        cb = [g.coeffs[y] for y, g in zip(b, other.generators)]
+        return _monomial_ideal(
             self.ring,
-            [f * g for f in self.generators for g in other.generators],
+            [mono_mul(x, y) for x in a for y in b],
+            [mul(c, d) for c in ca for d in cb],
         )
 
     def power(self, d: int) -> "Ideal":
@@ -192,10 +256,10 @@ class Ideal:
         if not self.is_homogeneous():
             return reduce(Ideal.__mul__, [self] * d)
         if len(self._powers) < d:
-            powers = list(self._powers) or [_minimalized(self.ring, self.generators)]
+            powers = list(self._powers) or [_minimalized(self)]
             base = powers[0][1]
             while len(powers) < d:
-                powers.append(_minimalized(self.ring, [a * b for a in powers[-1][1] for b in base]))
+                powers.append(_minimalized(powers[-1][1] * base))
             self._powers = tuple(powers)
         return self._powers[d - 1][0]
 
@@ -222,7 +286,7 @@ class Ideal:
                 return other
             if one in b:
                 return self
-            return self._monomial_ideal([mono_lcm(x, y) for x in a for y in b])
+            return _monomial_ideal(self.ring, _lcm_meet(a, b))
         if self.contains_ideal(other):
             return other
         if other.contains_ideal(self):
@@ -232,11 +296,6 @@ class Ideal:
         gens = [t * lift(f) for f in self.generators]
         gens += [(big.one() - t) * lift(g) for g in other.generators]
         return Ideal(big, gens).eliminate(1)
-
-    def _monomial_ideal(self, exps) -> "Ideal":
-        """The ideal of this ring generated by the monomials with these exponents."""
-        one = self.ring.field.one
-        return Ideal(self.ring, [self.ring.monomial(m, one) for m in _minimal_monomials(exps)])
 
     def colon_poly(self, f: Polynomial) -> "Ideal":
         """I : (f) via (I intersect (f)) divided through by f.
@@ -251,12 +310,7 @@ class Ideal:
             return self
         exps = self.monomial_exponents()
         if exps is not None and len(f.coeffs) == 1:
-            (fm,) = f.coeffs
-            if any(mono_divides(e, fm) for e in exps):
-                return Ideal(self.ring, [self.ring.one()])
-            return self._monomial_ideal(
-                [tuple(max(g - m, 0) for g, m in zip(e, fm)) for e in exps]
-            )
+            return _monomial_ideal(self.ring, _minimal_monomials(_colon_exps(exps, *f.coeffs)))
         meet = self.intersect(Ideal(self.ring, [f]))
         return Ideal(self.ring, [exact_divide(g, f) for g in meet.generators])
 
@@ -265,10 +319,7 @@ class Ideal:
         monomial ideal and a monomial f, I with f's variables set to 1."""
         exps = self.monomial_exponents()
         if exps is not None and len(f.coeffs) == 1:
-            (fm,) = f.coeffs
-            return self._monomial_ideal(
-                [tuple(0 if m else g for g, m in zip(e, fm)) for e in exps]
-            )
+            return _monomial_ideal(self.ring, _minimal_monomials(_saturate_exps(exps, *f.coeffs)))
         big, lift = _adjoin(self.ring, 1, front=True)
         gens = [lift(g) for g in self.generators]
         gens.append(big.one() - big.gen(0) * lift(f))
@@ -277,22 +328,32 @@ class Ideal:
     def colon(self, other: "Ideal") -> "Ideal":
         """I : J = {f : f*J in I}, the intersection of the I : f over the
         generators f of J.  Convention: I : (0) = S; (0) : J = (0)."""
-        return self._meet_over(other, self.colon_poly)
+        return self._meet_over(other, self.colon_poly, _colon_exps)
 
     def saturate(self, other: "Ideal") -> "Ideal":
         """I : J^infty, the intersection of the I : f^infty over the
         generators f of J (Cox-Little-O'Shea, ch. 4 section 4), each by
         _saturate_poly.  Convention: I : (0)^infty = S; (0) : J^infty = (0)."""
-        return self._meet_over(other, self._saturate_poly)
+        return self._meet_over(other, self._saturate_poly, _saturate_exps)
 
-    def _meet_over(self, other: "Ideal", by_poly) -> "Ideal":
-        """The intersection of by_poly(f) over the generators f of other."""
+    def _meet_over(self, other: "Ideal", by_poly, by_exps) -> "Ideal":
+        """The intersection of by_poly(f) over the generators f of other.
+
+        When both ideals are monomial, each part is the minimal monomials of
+        by_exps(exponents of self, exponent of f), and the parts meet by
+        pairwise lcms, as ``intersect`` meets monomial ideals.  One ideal is
+        built, at the end, equal generator for generator to the fold of
+        ``intersect`` over the by_poly(f)."""
         self._check(other)
         if other.is_zero():
             return Ideal(self.ring, [self.ring.one()])
         if self.is_zero():
             return self
-        return reduce(Ideal.intersect, map(by_poly, other.generators))
+        exps, fms = self.monomial_exponents(), other.monomial_exponents()
+        if exps is None or fms is None:
+            return reduce(Ideal.intersect, map(by_poly, other.generators))
+        parts = (_minimal_monomials(by_exps(exps, fm)) for fm in fms)
+        return _monomial_ideal(self.ring, reduce(_lcm_meet, parts))
 
     # -- elimination --------------------------------------------------------
 
@@ -363,6 +424,23 @@ class Ideal:
     def _minimal_positions(self) -> list:
         """The positions in the generator list of what minimal_generators
         keeps, in its order."""
+        exps = self.monomial_exponents()
+        if exps is not None:
+            # a monomial is in the span of distinct monomials of its degree
+            # iff it is one of them, and in the ideal of monomials iff one
+            # of them divides it
+            if len(set(map(mono_degree, exps))) == 1:
+                first: dict = {}
+                for i, e in enumerate(exps):
+                    first.setdefault(e, i)
+                return list(first.values())
+            kept, below = [], []
+            for i in sorted(range(len(exps)), key=lambda i: (mono_degree(exps[i]), i)):
+                e = exps[i]
+                if not any(mono_divides(k, e) for k in below):
+                    kept.append(i)
+                    below.append(e)
+            return kept
         if not self.is_homogeneous():
             raise ValueError("minimal generators require a homogeneous ideal")
         gens = self.generators

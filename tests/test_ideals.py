@@ -1,6 +1,7 @@
 """Ideal operations: goldens, brute-force oracle agreement, dimension."""
 
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import assume, given, settings
@@ -267,6 +268,27 @@ def scaled_monomials(draw, R):
 def test_monomial_minimal_generators_match_generic_route(R, data):
     gens = data.draw(scaled_monomials(R))
     assert Ideal(R, gens).minimal_generators() == generic_minimal_generators(gens)
+
+
+def typed_terms(gens):
+    """Each polynomial's terms with the type of each coefficient, so that an
+    int and an equal Fraction over Q tell apart."""
+    return [[(m, c, type(c)) for m, c in g.coeffs.items()] for g in gens]
+
+
+@pytest.mark.parametrize("R", [RP, RQ], ids=["fp", "q"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_monomial_product_lists_the_polynomial_products(R, data):
+    """The product of two monomial ideals, taken on exponents, lists the
+    polynomial products f*g, f over the first ideal's generators and g over
+    the second's, in that order and with the same coefficients; the
+    exponents it keeps are those of its generators."""
+    a, b = data.draw(scaled_monomials(R)), data.draw(scaled_monomials(R))
+    expected = [f * g for f in a for g in b]
+    product = Ideal(R, a) * Ideal(R, b)
+    assert typed_terms(product.generators) == typed_terms(expected)
+    assert product.monomial_exponents() == [m for g in expected for m in g.coeffs]
 
 
 @st.composite
@@ -581,6 +603,45 @@ def test_monomial_colon_and_meet_match_the_elimination_route(R, data):
     J = Ideal(R, [f])
     for a, b in ((I, unit), (unit, I), (I, J), (J, I)):
         assert a.intersect(b).equals(intersect_by_elimination(a, b))
+
+
+@st.composite
+def monomial_ideal_with_repeats(draw, R):
+    """A monomial ideal of 2-4 scaled generators of degree 0-2 in x, y, z:
+    1-3 drawn ones, and one more that is, a draw in three each, a repeat of
+    one of them, (1), or drawn like them."""
+    exps = [(a, b, c) for a in range(3) for b in range(3) for c in range(3) if a + b + c <= 2]
+    gens = draw(st.lists(st.sampled_from(exps), min_size=1, max_size=3))
+    kind = draw(st.sampled_from(["repeat", "unit", "drawn"]))
+    if kind == "repeat":
+        extra = draw(st.sampled_from(gens))
+    elif kind == "unit":
+        extra = (0, 0, 0)
+    else:
+        extra = draw(st.sampled_from(exps))
+    gens.insert(draw(st.integers(0, len(gens))), extra)
+    coefficient = st.integers(-9, 9).filter(bool)
+    return Ideal(R, [R.monomial(e, R.field.from_int(draw(coefficient))) for e in gens])
+
+
+@pytest.mark.parametrize("R", [RP, RQ], ids=["fp", "q"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_monomial_colon_and_saturation_by_a_monomial_ideal(R, data):
+    """I : J and I : J^infty for monomial I and J, computed on exponents,
+    are the ideals of the textbook routes: the meet by elimination of the
+    colons by elimination by each generator of J, and iterated colons.
+    Their generators are those of the fold of ``intersect`` over the
+    colon or saturation by each generator, in the same order."""
+    I = Ideal(R, data.draw(scaled_monomials(R)))
+    J = data.draw(monomial_ideal_with_repeats(R))
+    colon, saturation = I.colon(J), I.saturate(J)
+    parts = [colon_poly_by_elimination(I, f) for f in J.generators]
+    assert colon.equals(reduce(intersect_by_elimination, parts))
+    assert saturation.equals(saturate_by_iterated_colons(I, J))
+    for got, by_poly in ((colon, I.colon_poly), (saturation, I._saturate_poly)):
+        folded = reduce(Ideal.intersect, map(by_poly, J.generators))
+        assert typed_terms(got.generators) == typed_terms(folded.generators)
 
 
 def test_colon_and_saturation_agree_with_oracle():
