@@ -188,16 +188,9 @@ class MapContext:
         and I^d = I_q*I^(d-1) + (g_j^d): a colon by I^d of an ideal that
         contains I_q*I^(d-1) is its colon by the one form g_j^d.
         """
-        F = self.ring.field
         self._check_point(q, self.r + 1)
-        qc = q.coords
-        j = next(k for k, c in enumerate(qc) if not F.is_zero(c))
-        gens = []
-        for i in range(self.r + 1):
-            if i == j:
-                continue
-            gens.append(self.generators[i].scale(qc[j]) - self.generators[j].scale(qc[i]))
-        return Ideal(self.ring, gens), self.generators[j]
+        forms, g_j = _kernel_forms(self.generators, q.coords)
+        return Ideal(self.ring, forms), g_j
 
     def row_ideal(self, q: ProjectivePoint) -> Ideal:
         """I_q : I = I_q : g_j, the generalized row ideal at q."""
@@ -302,14 +295,15 @@ class MapContext:
             raise ValueError("need at least one trial")
         F = self.ring.field
         rng = self.rng(label)
+        xs = self.ring.gens()
         for _ in range(trials):
             p = self.random_source_point(rng)
             I_q, g_j = self._subspace_and_pivot(self.evaluate_map(p))
-            point = _point_ideal(self.ring, p.coords)
+            point = Ideal(self.ring, _kernel_forms(xs, p.coords)[0])
             span = _Echelon(F, self.ring.default_order.key)
-            for x in _unit_exponents(self.n + 1):
+            for x in xs:
                 for h in I_q.generators:
-                    span.add(h.mul_term(F.one, x).coeffs)
+                    span.add(h.mul_term(F.one, *x.coeffs).coeffs)
             if any(span.reduce((l * g_j).coeffs) for l in point.generators):
                 yield p, I_q.saturate(Ideal(self.ring, [g_j]))
             else:
@@ -601,11 +595,6 @@ class FiberReport:
 # ---------------------------------------------------------------------------
 
 
-def _unit_exponents(count: int) -> list:
-    """The exponent tuples of the variables of a ring with ``count`` of them."""
-    return [tuple(int(i == k) for i in range(count)) for k in range(count)]
-
-
 def _jacobian_rank(forms, point) -> int:
     """The rank of the Jacobian matrix (df_i/dx_k) of ``forms`` at ``point``."""
     F = forms[0].ring.field
@@ -623,20 +612,17 @@ def _jacobian_rank(forms, point) -> int:
     return len(span.rows)
 
 
-def _point_ideal(ring, coords) -> Ideal:
-    """I_p, generated by the n forms p_b*x_a - p_a*x_b (a != b) for b the
-    first nonzero coordinate of p."""
-    F = ring.field
-    b = next(k for k, c in enumerate(coords) if not F.is_zero(c))
-    x = _unit_exponents(len(coords))
-    forms = []
-    for a, c in enumerate(coords):
-        if a != b:
-            form = {x[a]: coords[b]}
-            if not F.is_zero(c):
-                form[x[b]] = F.neg(c)
-            forms.append(Polynomial(ring, form))
-    return Ideal(ring, forms)
+def _kernel_forms(forms, coords):
+    """([c_j*f_i - c_i*f_j for i != j], f_j), j the first nonzero coordinate
+    of c: a basis of the combinations sum a_i*f_i with sum a_i*c_i = 0, and
+    the form that completes it to a basis of the span of the f_i.  On the
+    generators of a map and a target point q this is (I_q, g_j); on the
+    variables and a source point p, the forms generating the ideal of p."""
+    F = forms[0].ring.field
+    j = next(k for k, c in enumerate(coords) if not F.is_zero(c))
+    f_j, c_j = forms[j], coords[j]
+    pairs = enumerate(zip(forms, coords))
+    return [f.scale(c_j) - f_j.scale(c) for i, (f, c) in pairs if i != j], f_j
 
 
 def _random_coords(field, rng: random.Random, count: int) -> list:

@@ -2,14 +2,16 @@
 saturations, equality, codimension, linearity, and minimal generators.
 
 When every operand is a monomial ideal (each generator a single term), the
-product, the power, the minimal generators, the intersection, and the colon
-and saturation by a monomial ideal work on exponent tuples alone, as in
-Miller and Sturmfels, *Combinatorial Commutative Algebra*, ch. 1, and build
-each result polynomial once, at the end.  Such a result has exactly the
-generators, in the same order and with the same coefficients, that the
-polynomial route gives: ``MapContext.point_presentation`` samples its points
-in the order of the generators of I^d, so a reordered list would change the
-points it reports.
+product, the power, the minimal generators of one degree, the intersection,
+and the colon and saturation by a monomial work on exponent tuples alone, as
+in Miller and Sturmfels, *Combinatorial Commutative Algebra*, ch. 1, and
+build each result polynomial once, at the end.  The colon and saturation by
+a monomial ideal intersect those by its generators, and mixed-degree minimal
+generators are tested for membership, which for monomials is divisibility.
+Such a result has exactly the generators, in the same order and with the
+same coefficients, that the polynomial route gives:
+``MapContext.point_presentation`` samples its points in the order of the
+generators of I^d, so a reordered list would change the points it reports.
 """
 
 from __future__ import annotations
@@ -48,12 +50,6 @@ def _minimal_monomials(exps):
         if not any(all(map(le, k, m)) for k in out):
             out.append(m)
     return out
-
-
-def _lcm_meet(a, b):
-    """Minimal exponents generating the intersection of the monomial ideals
-    generated by ``a`` and ``b``: the minimal pairwise lcms."""
-    return _minimal_monomials([mono_lcm(x, y) for x in a for y in b])
 
 
 def _colon_exps(exps, fm):
@@ -286,7 +282,9 @@ class Ideal:
                 return other
             if one in b:
                 return self
-            return _monomial_ideal(self.ring, _lcm_meet(a, b))
+            return _monomial_ideal(
+                self.ring, _minimal_monomials([mono_lcm(x, y) for x in a for y in b])
+            )
         if self.contains_ideal(other):
             return other
         if other.contains_ideal(self):
@@ -328,32 +326,24 @@ class Ideal:
     def colon(self, other: "Ideal") -> "Ideal":
         """I : J = {f : f*J in I}, the intersection of the I : f over the
         generators f of J.  Convention: I : (0) = S; (0) : J = (0)."""
-        return self._meet_over(other, self.colon_poly, _colon_exps)
+        return self._meet_over(other, self.colon_poly)
 
     def saturate(self, other: "Ideal") -> "Ideal":
         """I : J^infty, the intersection of the I : f^infty over the
         generators f of J (Cox-Little-O'Shea, ch. 4 section 4), each by
         _saturate_poly.  Convention: I : (0)^infty = S; (0) : J^infty = (0)."""
-        return self._meet_over(other, self._saturate_poly, _saturate_exps)
+        return self._meet_over(other, self._saturate_poly)
 
-    def _meet_over(self, other: "Ideal", by_poly, by_exps) -> "Ideal":
+    def _meet_over(self, other: "Ideal", by_poly) -> "Ideal":
         """The intersection of by_poly(f) over the generators f of other.
-
-        When both ideals are monomial, each part is the minimal monomials of
-        by_exps(exponents of self, exponent of f), and the parts meet by
-        pairwise lcms, as ``intersect`` meets monomial ideals.  One ideal is
-        built, at the end, equal generator for generator to the fold of
-        ``intersect`` over the by_poly(f)."""
+        For monomial ideals each by_poly(f) and each intersection takes its
+        exponent route."""
         self._check(other)
         if other.is_zero():
             return Ideal(self.ring, [self.ring.one()])
         if self.is_zero():
             return self
-        exps, fms = self.monomial_exponents(), other.monomial_exponents()
-        if exps is None or fms is None:
-            return reduce(Ideal.intersect, map(by_poly, other.generators))
-        parts = (_minimal_monomials(by_exps(exps, fm)) for fm in fms)
-        return _monomial_ideal(self.ring, reduce(_lcm_meet, parts))
+        return reduce(Ideal.intersect, map(by_poly, other.generators))
 
     # -- elimination --------------------------------------------------------
 
@@ -425,22 +415,13 @@ class Ideal:
         """The positions in the generator list of what minimal_generators
         keeps, in its order."""
         exps = self.monomial_exponents()
-        if exps is not None:
+        if exps is not None and len(set(map(mono_degree, exps))) == 1:
             # a monomial is in the span of distinct monomials of its degree
-            # iff it is one of them, and in the ideal of monomials iff one
-            # of them divides it
-            if len(set(map(mono_degree, exps))) == 1:
-                first: dict = {}
-                for i, e in enumerate(exps):
-                    first.setdefault(e, i)
-                return list(first.values())
-            kept, below = [], []
-            for i in sorted(range(len(exps)), key=lambda i: (mono_degree(exps[i]), i)):
-                e = exps[i]
-                if not any(mono_divides(k, e) for k in below):
-                    kept.append(i)
-                    below.append(e)
-            return kept
+            # iff it is one of them
+            first: dict = {}
+            for i, e in enumerate(exps):
+                first.setdefault(e, i)
+            return list(first.values())
         if not self.is_homogeneous():
             raise ValueError("minimal generators require a homogeneous ideal")
         gens = self.generators

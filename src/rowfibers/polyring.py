@@ -86,8 +86,10 @@ class CoefficientField:
                 raise ValueError("sqrt(-1) is only supported over prime fields")
             return
         p = characteristic
-        if p == 2 or not _is_prime(p):
-            raise ValueError(f"characteristic must be 0 or an odd prime, got {p}")
+        # _is_prime is proven only below 2^64: a larger number could be a
+        # strong pseudoprime to all its bases
+        if p == 2 or p >= 1 << 64 or not _is_prime(p):
+            raise ValueError(f"characteristic must be 0 or an odd prime below 2^64, got {p}")
         self.p = p
         self.zero = 0
         self.one = 1
@@ -338,7 +340,7 @@ class PolyRing:
         return Polynomial(self, {exps: c})
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PolyRing)
             and self.field == other.field
             and self.variables == other.variables

@@ -212,6 +212,24 @@ def colon_poly_by_elimination(I, f):
     return Ideal(I.ring, [groebner.exact_divide(g, f) for g in meet.generators])
 
 
+def point_ideal_by_exponents(R, coords):
+    """The ideal of the point with these coordinates, generated by the n
+    forms p_b*x_a - p_a*x_b (a != b) for b the first nonzero coordinate,
+    each written term by term from exponent tuples: the reference for the
+    point ideal that ``MapContext`` builds from the variables."""
+    F = R.field
+    b = next(k for k, c in enumerate(coords) if not F.is_zero(c))
+    x = [tuple(int(i == k) for i in range(len(coords))) for k in range(len(coords))]
+    forms = []
+    for a, c in enumerate(coords):
+        if a != b:
+            form = {x[a]: coords[b]}
+            if not F.is_zero(c):
+                form[x[b]] = F.neg(c)
+            forms.append(Polynomial(R, form))
+    return Ideal(R, forms)
+
+
 def special_fiber_dimension_by_elimination(ctx):
     """dim k[T]/ker(T_i -> g_i) by the textbook route, the reference for
     ``MapContext.special_fiber_dimension``: the full reduced basis of the

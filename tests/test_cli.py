@@ -49,6 +49,8 @@ def test_parse_problem_golden():
         ("vars x y\n", "before field"),
         ("field 32003\nideal I: x\n", "before vars"),
         ("field 6\nvars x y\n", "characteristic"),
+        # a composite that passes every Miller-Rabin base below 41
+        ("field 3317044064679887385961981\nvars x y\n", "line 1: characteristic"),
         ("field 32003\nvars x y\nideal I: q*w\n", "bad polynomial"),
         ("field 32003\nvars x y\nideal I: x\nideal I: y\n", "duplicate"),
         ("field 32003\nvars x y\nwhat now\n", "unknown directive"),
@@ -253,7 +255,11 @@ def test_cli_fiber_of_a_monomial_map_with_coefficients(capsys, tmp_path):
 # -- exit codes --------------------------------------------------------------
 
 
-def test_exit_validation(capsys):
+def test_exit_validation(capsys, tmp_path):
+    composite = tmp_path / "composite_field.txt"
+    composite.write_text("field 3317044064679887385961981\nvars x y\nideal I: x\n")
+    code, _, err = run(capsys, "gb", str(composite), "I")
+    assert code == 2 and "characteristic" in err
     code, _, err = run(capsys, "gb", MONOMIAL, "NOPE")
     assert code == 2 and "unknown ideal" in err
     code, _, err = run(capsys, "gb", "/nonexistent/problem.txt", "I")
@@ -270,13 +276,13 @@ def test_exit_power_below_one(capsys, power):
 
 
 def test_exit_strict_unconfirmed(capsys):
-    code, _, err = run(
-        capsys, "fiber", MONOMIAL, "--at", "q", "--max-power", "2", "--strict"
-    )
-    assert code == 4 and "confirm" in err
-    # without --strict the same run reports confirmed=false and exits 0
-    rep = run_json(capsys, "fiber", MONOMIAL, "--at", "q", "--max-power", "2")
-    assert rep["results"]["confirmed"] is False
+    for kind in ("all", "corr"):
+        argv = ["fiber", MONOMIAL, "--at", "q", "--kind", kind, "--max-power", "2"]
+        code, _, err = run(capsys, *argv, "--strict")
+        assert code == 4 and "confirm" in err, kind
+        # without --strict the same run reports confirmed=false and exits 0
+        rep = run_json(capsys, *argv)
+        assert rep["results"]["confirmed"] is False, kind
 
 
 @pytest.mark.parametrize("flag", [["--strict"], ["--max-power", "3"]])
@@ -326,6 +332,7 @@ GOLDEN = DATA / "golden"
 # non-monomial ideals over Q
 GOLDEN_INVOCATIONS = [
     ("fiber", "monomial_cover.txt", "--at", "q", "--kind", "all"),
+    ("fiber", "monomial_cover.txt", "--at", "q", "--kind", "corr"),
     ("spread", "quartic_curve.txt", "--trials", "5"),
     ("birational", "quartic_curve.txt", "--certify", "e0"),
     ("hks", "quartic_matrices.txt", "--ideal", "IF", "--matrix", "M2", "--at", "e0"),

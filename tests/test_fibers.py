@@ -31,6 +31,7 @@ from helpers import (
     ideal,
     monomial_cover_context,
     plane_cubics_context,
+    point_ideal_by_exponents,
     quartic_context,
     random_equigenerated_context,
     random_target_point,
@@ -40,6 +41,7 @@ from helpers import (
     twisted_cubic_context,
 )
 from rowfibers import Polynomial, matrix_from_rows, minimal_presentation, parse_matrix_rows
+from rowfibers.fibers import _kernel_forms
 
 F7 = CoefficientField(7)
 
@@ -434,6 +436,29 @@ def test_sampled_fibers_match_the_elimination_route(field, data):
     for p, K in ctx._sampled_fibers("test", 3):
         I_q, g_j = ctx._subspace_and_pivot(ctx.evaluate_map(p))
         assert K.equals(I_q.saturate(Ideal(ctx.ring, [g_j])))
+
+
+@pytest.mark.parametrize("field", [FP, QQ], ids=["fp", "q"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kernel_forms_on_the_variables_are_the_point_ideal(field, data):
+    """On the variables, the kernel forms at p are the reference generators
+    of the ideal of p, term for term and in order, for points with zero
+    coordinates too, and each of them vanishes at p."""
+    n = data.draw(st.integers(2, 5))
+    R = ring(field, *(f"x{k}" for k in range(n)))
+    values = st.one_of(st.just(0), st.integers(-10**6, 10**6), st.fractions(max_denominator=50))
+    coords = [
+        field.from_fraction(c.numerator, c.denominator)
+        for c in map(Fraction, data.draw(st.lists(values, min_size=n, max_size=n)))
+    ]
+    assume(not all(field.is_zero(c) for c in coords))
+    forms, pivot = _kernel_forms(R.gens(), coords)
+    reference = point_ideal_by_exponents(R, coords).generators
+    assert [list(f.coeffs.items()) for f in forms] == [list(g.coeffs.items()) for g in reference]
+    j = next(k for k, c in enumerate(coords) if not field.is_zero(c))
+    assert pivot == R.gens()[j]
+    assert all(field.is_zero(f.evaluate(coords)) for f in forms)
 
 
 def test_birational_samples_run_no_elimination(monkeypatch):

@@ -40,6 +40,17 @@ def test_characteristic_must_be_odd_prime(bad):
         CoefficientField(bad)
 
 
+def test_characteristic_is_a_machine_word_prime():
+    # the primality test is proven only below 2^64; the first number is
+    # 1287836182261 * 2575672364521, a strong pseudoprime to all its bases,
+    # and the second is the least prime above 2^64
+    for bad in (3317044064679887385961981, 2**64 + 13):
+        with pytest.raises(ValueError, match="below 2"):
+            CoefficientField(bad)
+    # the greatest prime below 2^64 is a field
+    assert CoefficientField(2**64 - 59).p == 2**64 - 59
+
+
 def test_sqrt_minus_one_exists_only_mod_one():
     # 32029 = 1 mod 4 admits i; 32003 = 3 mod 4 does not
     F = FPI
