@@ -334,13 +334,6 @@ class MapContext:
             )
         return value, codims
 
-    def spread_lower_bound(self, q: ProjectivePoint) -> Optional[int]:
-        """1 + codim(I_q : I^infty) when that ideal is proper, else None."""
-        fiber = self.morphism_fiber_ideal(q)
-        if fiber.is_unit():
-            return None
-        return 1 + fiber.codimension()
-
     # -- HKS bound ----------------------------------------------------------
 
     def hks_lower_bound(self, A: PresentationMatrix, q: ProjectivePoint) -> "HksResult":

@@ -24,6 +24,20 @@ Buchberger's coprime criterion, and elements whose lead it divides form no
 new pairs.  A pair is never tested again when it is popped, beyond being
 skipped if the update dropped it.
 
+``_buchberger`` takes its input as parts: a polynomial, or a
+``GroebnerBasis`` in the loop's own order.  The elements of one basis part
+join one after another like any input, but no pair between two of them is
+pushed, while the update still counts those pairs for B_k, M and F.  That is
+exact.  A set is a Groebner basis once the S-polynomial of every pair has a
+standard representation by it, and the update drops a pair only where other
+pairs, reduced or dropped in turn, give it one (Becker-Weispfenning, ch. 5).
+A pair reduced to zero has a standard representation from its reduction; a
+pair inside a Groebner basis of the same order already has one, by the
+elements of that basis.  So the loop treats such a pair as reduced to zero
+when its second element joins.  A lone polynomial is a part of one, so on
+polynomials alone the loop is unchanged.  A basis in another order gives no
+such representation and is refused.
+
 ``normal_form`` is the one reducer of ideal elements; ``_buchberger``
 reduces each S-pair through it.  It reads each basis element's lead
 monomial, the inverse of its lead coefficient and its tail terms, which are
@@ -204,10 +218,28 @@ def _s_pair(a: tuple, b: tuple, lcm: tuple, ring: PolyRing) -> Polynomial:
     return Polynomial(ring, {m: _rational(c) for m, c in out.items() if c})
 
 
-def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder):
-    """A Groebner basis of ``gens``: the normalized nonzero generators, then
-    each nonzero S-pair remainder in the order it was found."""
-    ring = gens[0].ring
+def _parts(gens, order: MonomialOrder) -> list:
+    """The nonzero elements of each input as a tuple: a ``GroebnerBasis``
+    in ``order`` whole, a polynomial alone; a basis in another order raises
+    ``ValueError``."""
+    parts = []
+    for g in gens:
+        if isinstance(g, GroebnerBasis):
+            if g.order != order:
+                raise ValueError(f"a basis in {g.order} is not a part of a run in {order}")
+            parts.append(g.elements)
+        elif not g.is_zero():
+            parts.append((g,))
+    return parts
+
+
+def _buchberger(gens: Sequence, order: MonomialOrder):
+    """A Groebner basis of the ideal of ``gens``, each a polynomial or a
+    ``GroebnerBasis`` part in ``order``: the normalized nonzero elements in
+    input order, then each nonzero S-pair remainder in the order it was
+    found.  No pair inside one basis part is reduced."""
+    parts = _parts(gens, order)
+    ring = parts[0][0].ring
     basis: list = []
     reducers: list = []
     lms: list = []
@@ -221,13 +253,16 @@ def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder):
     pending: dict = {}
     heap: list = []
 
-    def join(g, sugar):
+    def join(g, sugar, part):
         """Add g to the basis with the Gebauer-Moeller update (Becker-
         Weispfenning, UPDATE): B_k drops the pending pairs whose lcm the new
         lead divides strictly (both other lcms differ); of the new pairs, M
         drops those whose lcm another new lcm properly divides, F keeps one
         pair, the first, of each group with one lcm, and a group that holds
-        a coprime pair is dropped whole, as is any other coprime pair."""
+        a coprime pair is dropped whole, as is any other coprime pair.  The
+        elements from index ``part`` on belong to g's basis part: their
+        pairs with g count in every criterion, and a kept one is not
+        pushed."""
         g = normalize(g, order)
         lead = g.leading(order)
         m = lead[1]
@@ -254,7 +289,7 @@ def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder):
                 continue
             minimal.append(lcm)
             i, coprime = groups[lcm]
-            if not coprime:
+            if not coprime and i < part:
                 pending[(i, t)] = lcm
                 heapq.heappush(heap, (sum(lcm) + max(ecarts[i], ecart), i, t))
         live[:] = [i for i in live if not all(map(le, m, lms[i]))]
@@ -264,9 +299,10 @@ def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder):
         lms.append(m)
         ecarts.append(ecart)
 
-    for g in gens:
-        if not g.is_zero():
-            join(g, g.total_degree())
+    for part in parts:
+        start = len(basis)
+        for g in part:
+            join(g, g.total_degree(), start)
     while heap:
         # sugar strategy: minimal sugar, then index tie-break
         sugar, i, j = heapq.heappop(heap)
@@ -276,7 +312,7 @@ def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder):
         s = _s_pair(reducers[i], reducers[j], lcm, ring)
         r = normal_form(s, basis, order, reducers=reducers)
         if not r.is_zero():
-            join(r, sugar)
+            join(r, sugar, len(basis))
     return basis
 
 
@@ -345,7 +381,7 @@ def _linear_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder):
 
 
 def reduced_groebner_basis(
-    gens: Sequence[Polynomial],
+    gens: Sequence,
     order: Optional[MonomialOrder] = None,
     *,
     free_of: int = 0,
@@ -357,24 +393,29 @@ def reduced_groebner_basis(
     content-free, positive leading coefficient over the rationals) and
     sorted by increasing leading monomial.
 
+    Each of ``gens`` is a polynomial or a ``GroebnerBasis`` in ``order``,
+    whose elements' pairs among themselves are not reduced again (see
+    ``_buchberger``); a basis in another order raises ``ValueError``.
+
     ``free_of=k`` requires ``order`` to be ``MonomialOrder.elimination(k)``
     and returns only the elements free of the first k variables, the reduced
     basis of the ideal's intersection with the trailing-variable subring;
     the others are never tail-reduced (see ``eliminate_first``).
     """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
+    flat = _elements(gens)
+    if not flat:
         order = order or MonomialOrder.grevlex()
         return GroebnerBasis((), order)
-    ring = gens[0].ring
-    for g in gens:
+    ring = flat[0].ring
+    for g in flat:
         if g.ring != ring:
             raise RingMismatchError("generators live in different rings")
     order = order or ring.default_order
+    _parts(gens, order)  # refuses a basis part in another order
     if free_of and order != MonomialOrder.elimination(free_of):
         raise ValueError(f"free_of={free_of} needs the order elim({free_of})")
-    if all(g.total_degree() <= 1 for g in gens):
-        gb = _linear_groebner_basis(gens, order)
+    if all(g.total_degree() <= 1 for g in flat):
+        gb = _linear_groebner_basis(flat, order)
         if free_of:
             gb = GroebnerBasis(
                 tuple(g for g, (m, _, _) in zip(gb, gb.reducers) if not any(m[:free_of])),
@@ -382,6 +423,17 @@ def reduced_groebner_basis(
             )
         return gb
     return _interreduce(_buchberger(gens, order), order, free_of)
+
+
+def _elements(gens: Sequence) -> list:
+    """The nonzero polynomials of ``gens``, each basis part's elements in
+    sequence."""
+    return [
+        g
+        for part in gens
+        for g in (part.elements if isinstance(part, GroebnerBasis) else (part,))
+        if not g.is_zero()
+    ]
 
 
 def _interreduce(basis: Sequence[Polynomial], order: MonomialOrder, free_of: int = 0):
@@ -431,8 +483,12 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def eliminate_first(gens: Sequence[Polynomial], drop: int):
+def eliminate_first(gens: Sequence, drop: int):
     """Generators of (gens) intersected with the trailing-variable subring.
+
+    ``gens`` are polynomials or ``GroebnerBasis`` parts in
+    ``MonomialOrder.elimination(drop)``, as ``reduced_groebner_basis`` takes
+    them.
 
     Computed via a Groebner basis for the block elimination order; returns
     (small_ring, generators) with the generators expressed in the subring:
@@ -450,7 +506,7 @@ def eliminate_first(gens: Sequence[Polynomial], drop: int):
     """
     if not gens:
         raise ValueError("need at least one generator (possibly zero)")
-    ring = gens[0].ring
+    ring = (_elements(gens) or gens)[0].ring
     if not 1 <= drop <= ring.nvars - 1:
         raise ValueError(f"drop count {drop} out of range for {ring.nvars} variables")
     order = MonomialOrder.elimination(drop)

@@ -261,16 +261,38 @@ def special_fiber_dimension_by_elimination(ctx):
 def count_eliminations(monkeypatch):
     """A list that grows by one at each ``eliminate_first`` call, patched in
     both modules that name the function."""
+    return _count_calls(monkeypatch, "eliminate_first", groebner, ideals)
+
+
+def count_s_pairs(monkeypatch):
+    """A list that grows by one at each S-polynomial that ``_buchberger``
+    forms to reduce (``groebner._s_pair``)."""
+    return _count_calls(monkeypatch, "_s_pair", groebner)
+
+
+def _count_calls(monkeypatch, name, *modules):
+    """A list that grows by one, by the call's arguments, at each call of
+    the function ``name`` of the first module, patched in every module."""
     calls = []
-    original = groebner.eliminate_first
+    original = getattr(modules[0], name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(groebner, "eliminate_first", counted)
-    monkeypatch.setattr(ideals, "eliminate_first", counted)
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def spread_lower_bound(ctx, q):
+    """1 + codim(I_q : I^infty) when the morphism fiber ideal at q is
+    proper, else None: the lower bound on the analytic spread that one
+    fiber gives."""
+    fiber = ctx.morphism_fiber_ideal(q)
+    if fiber.is_unit():
+        return None
+    return 1 + fiber.codimension()
 
 
 def same_members(I, J, probes):

@@ -9,7 +9,7 @@ import pytest
 from rowfibers import MapContext
 from rowfibers.cli import ProblemError, main, parse_problem
 
-from helpers import DATA, FP, count_eliminations
+from helpers import DATA, FP, count_eliminations, count_s_pairs
 
 
 MONOMIAL = str(DATA / "monomial_cover.txt")
@@ -148,6 +148,17 @@ def test_cli_fiber_cubics_meets_nested_ideals_without_elimination(capsys, monkey
     golden = json.loads((DATA / "golden" / "fiber_plane_cubics_at_q_kind_all.json").read_text())
     assert rep["results"] == golden["results"]
     assert len(calls) <= 4
+
+
+def test_cli_plane_cubics_fiber_reduces_only_pairs_across_cached_bases(capsys, monkeypatch):
+    """Each elimination of the plane-cubics fiber starts from the reduced
+    bases its ideals cache, so only S-pairs across them are formed: at most
+    63, where eliminating from the generators formed 110."""
+    pairs = count_s_pairs(monkeypatch)
+    rep = run_json(capsys, "fiber", CUBICS, "--at", "q", "--kind", "all")
+    golden = json.loads((DATA / "golden" / "fiber_plane_cubics_at_q_kind_all.json").read_text())
+    assert rep["results"] == golden["results"]
+    assert len(pairs) <= 63
 
 
 def test_cli_fiber_kind_selection(capsys):
@@ -328,8 +339,11 @@ GOLDEN = DATA / "golden"
 
 # every README invocation, plus the fiber kinds, spread, birationality and the
 # point presentation on the plane cubics over Q, the quartic's fourth power,
-# spread and birationality on the monomial cover, and colon and saturation of
-# non-monomial ideals over Q
+# spread and birationality on the monomial cover, colon and saturation of
+# non-monomial ideals over Q, and spread and birationality of the maps by J,
+# whose sampled fibers are not points (the saturation by g_j) and, on the
+# monomial cover, whose Jacobian rank falls short (the elimination of the
+# special fiber)
 GOLDEN_INVOCATIONS = [
     ("fiber", "monomial_cover.txt", "--at", "q", "--kind", "all"),
     ("fiber", "monomial_cover.txt", "--at", "q", "--kind", "corr"),
@@ -353,6 +367,10 @@ GOLDEN_INVOCATIONS = [
     ("birational", "monomial_cover.txt"),
     ("colon", "conic_torsion.txt", "I", "J"),
     ("saturate", "conic_torsion.txt", "I", "J"),
+    ("spread", "monomial_cover.txt", "--ideal", "J"),
+    ("birational", "monomial_cover.txt", "--ideal", "J"),
+    ("spread", "conic_torsion.txt", "--ideal", "J"),
+    ("birational", "conic_torsion.txt", "--ideal", "J"),
 ]
 GOLDEN_FLAGS = [(), ("--seed", "3"), ("--order", "lex")]
 

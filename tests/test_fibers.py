@@ -38,6 +38,7 @@ from helpers import (
     ring,
     saturate_by_iterated_colons,
     special_fiber_dimension_by_elimination,
+    spread_lower_bound,
     twisted_cubic_context,
 )
 from rowfibers import Polynomial, matrix_from_rows, minimal_presentation, parse_matrix_rows
@@ -304,10 +305,10 @@ def test_analytic_spread_goldens(make, value):
 def test_spread_lower_bound():
     ctx = monomial_cover_context()
     # the fiber over e_4 is empty, so it bounds nothing
-    assert ctx.spread_lower_bound(e_point(FP, 5, 4)) is None
+    assert spread_lower_bound(ctx, e_point(FP, 5, 4)) is None
     # over the image of a general point the bound is attained
     p = ctx.random_source_point(ctx.rng("test"))
-    assert ctx.spread_lower_bound(ctx.evaluate_map(p)) == 4
+    assert spread_lower_bound(ctx, ctx.evaluate_map(p)) == 4
 
 
 def test_spread_is_seed_independent():

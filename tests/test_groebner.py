@@ -492,6 +492,31 @@ def test_reduced_basis_matches_the_chain_scan_loop(R, data):
         assert [exact_terms(g) for g in got] == [exact_terms(g) for g in want]
 
 
+@pytest.mark.parametrize("R", [RP, RQ], ids=["fp", "q"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_basis_parts_give_the_flat_basis(R, data):
+    """One or two reduced bases passed whole, among loose polynomials, give
+    the reduced basis of the same polynomials passed one by one, in grevlex,
+    lex and elim(k), although no pair inside a basis part is reduced; a
+    basis in another order than the run's is refused."""
+    order = data.draw(st.sampled_from(ORDERS))
+    gens = data.draw(st.lists(polynomial(R, 2, 3), max_size=2))
+    for _ in range(data.draw(st.integers(1, 2))):
+        part = data.draw(st.lists(polynomial(R, 2, 3), min_size=1, max_size=2))
+        gens.insert(data.draw(st.integers(0, len(gens))), reduced_groebner_basis(part, order))
+    flat = [g for x in gens for g in (x if isinstance(x, GroebnerBasis) else (x,))]
+    got = reduced_groebner_basis(gens, order)
+    want = reduced_groebner_basis(flat, order)
+    assert [exact_terms(g) for g in got] == [exact_terms(g) for g in want]
+    other = data.draw(st.sampled_from([o for o in ORDERS if o != order]))
+    stranger = reduced_groebner_basis(flat, other)
+    with pytest.raises(ValueError):
+        reduced_groebner_basis([*gens, stranger], order)
+    with pytest.raises(ValueError):
+        _buchberger([stranger, *gens], order)
+
+
 @st.composite
 def homogeneous_vector(draw, R, top):
     """A nonzero vector in R^2 whose entries are forms of one degree in

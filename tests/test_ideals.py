@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rowfibers import (
     Ideal,
     MapContext,
+    MonomialOrder,
     Polynomial,
     UNIT_CODIM,
     RingMismatchError,
@@ -486,6 +487,17 @@ def test_intersection_matches_the_elimination_route(R, data):
     ideal of the textbook route, the full reduced basis of t*I + (1 - t)*J
     with its t-free elements kept."""
     I, J = data.draw(intersection_pair(R))
+    assert I.intersect(J).equals(intersect_by_elimination(I, J))
+
+
+def test_intersection_in_a_lex_ring_matches_the_elimination_route():
+    """Under lex the cached bases are no bases in the grevlex tail of t's
+    elimination order, so their elements enter the elimination one by one:
+    taken as basis parts, this pair's S-pairs inside t*G_I go unreduced and
+    the intersection comes out wrong."""
+    R = ring(QQ, "x", "y", "z", order=MonomialOrder.lex())
+    I = ideal(R, "x*z + y^2 + y*z + 2*z^2", "5*x*y + 3*x*z")
+    J = ideal(R, "4*x + z")
     assert I.intersect(J).equals(intersect_by_elimination(I, J))
 
 
