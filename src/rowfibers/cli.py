@@ -243,9 +243,7 @@ def cmd_codim(problem, args):
     return {"codimension": render_codim(problem.ideal(args.name).codimension())}
 
 
-def _render_correspondence(corr, stabilized_at, confirmed, strict):
-    if strict and not confirmed:
-        raise UnconfirmedStabilization()
+def _render_correspondence(corr, stabilized_at, confirmed):
     return {
         "correspondence": render_ideal(corr),
         "stabilized_at": stabilized_at,
@@ -260,16 +258,14 @@ def cmd_fiber(problem, args):
         return {"row": render_ideal(ctx.row_ideal(q))}
     if args.kind == "corr":
         corr = ctx.correspondence_fiber_ideal(q, args.max_power)
-        return _render_correspondence(*corr, args.strict)
+        return _render_correspondence(*corr)
     if args.kind == "morphism":
         return {"morphism": render_ideal(ctx.morphism_fiber_ideal(q))}
     # one report computes each fiber ideal once; every field renders from it
     rep = ctx.fiber_report(q, args.max_power)
     return {
         "row": render_ideal(rep.row),
-        **_render_correspondence(
-            rep.correspondence, rep.stabilized_at, rep.confirmed, args.strict
-        ),
+        **_render_correspondence(rep.correspondence, rep.stabilized_at, rep.confirmed),
         "morphism": render_ideal(rep.morphism),
         "codimensions": {k: render_codim(v) for k, v in rep.codimensions().items()},
         "linear": rep.linearity(),
@@ -346,10 +342,6 @@ def cmd_point_presentation(problem, args):
             }
         )
     return {"power": args.power, "rows": rows}
-
-
-class UnconfirmedStabilization(RuntimeError):
-    pass
 
 
 COMMANDS = {
@@ -437,15 +429,15 @@ def main(argv=None) -> int:
             raise ProblemError(f"cannot read problem file: {exc}")
         problem = parse_problem(text, base_dir=path.parent, order=order)
         results = COMMANDS[args.command](problem, args)
-    except UnconfirmedStabilization:
-        print("error: correspondence chain did not confirm stabilization", file=sys.stderr)
-        return EXIT_UNCONFIRMED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (SamplingError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
+    if getattr(args, "strict", False) and results.get("confirmed") is False:
+        print("error: correspondence chain did not confirm stabilization", file=sys.stderr)
+        return EXIT_UNCONFIRMED
     report = {
         "command": args.command,
         "seed": args.seed,

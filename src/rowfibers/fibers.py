@@ -8,8 +8,9 @@ the four ideals
     subspace ideal  <=  row ideal  <=  correspondence fiber  <=  morphism fiber
 
 are computed exactly; "general point" arguments are realized by seeded
-random sampling over a large prime field, with bounded retries and loud
-failures (never silent resampling past the bound).
+random sampling over the map's own field (uniform over F_p, integers in
+[-99, 99] over Q), with bounded retries and loud failures (never silent
+resampling past the bound).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from operator import neg
 from typing import Optional, Sequence
 
-from .groebner import _Echelon
+from .groebner import _Echelon, eliminate_first
 from .ideals import UNIT_CODIM, Ideal, _adjoin
 from .polyring import Polynomial
 from .syzygy import (
@@ -270,7 +271,7 @@ class MapContext:
         n1 = self.ring.nvars
         big, lift = _adjoin(self.ring, self.r + 1, front=False)
         ker_gens = [big.gen(n1 + i) - lift(g) for i, g in enumerate(self.generators)]
-        kernel = Ideal(big, ker_gens).eliminate(n1)
+        kernel = Ideal(*eliminate_first(ker_gens, n1))
         if kernel.is_zero():
             return self.r + 1
         dim = kernel.dimension()

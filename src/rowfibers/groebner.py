@@ -52,9 +52,9 @@ once per monomial and keeps for its lifetime, so a repeat is a dict lookup;
 The module engine divides in the same shape: ``module_normal_form`` reads
 each vector's lead component and monomial, inverse lead coefficient and tail
 (``_module_reducer``), computed once per element, and ``module_groebner``
-builds each S-pair from the two tails.  The division loops stay two: only
-leads of a term's own component can divide it, and a loop over flat exponent
-tuples that encode the component would test every other component's leads.
+builds each S-pair from the two tails.  The division loops stay two:
+merging the ideal and module loops was measured and is not pursued
+(ROADMAP item 12).
 
 Data that lives in one degree needs no Buchberger run: ``_Echelon`` keeps an
 exact reduced row-echelon form of sparse rows over the coefficient field.
@@ -397,10 +397,11 @@ def reduced_groebner_basis(
     whose elements' pairs among themselves are not reduced again (see
     ``_buchberger``); a basis in another order raises ``ValueError``.
 
-    ``free_of=k`` requires ``order`` to be ``MonomialOrder.elimination(k)``
-    and returns only the elements free of the first k variables, the reduced
-    basis of the ideal's intersection with the trailing-variable subring;
-    the others are never tail-reduced (see ``eliminate_first``).
+    ``free_of=k`` requires ``order`` to be ``MonomialOrder.elimination(k,
+    rest)``, for any ``rest``, and returns only the elements free of the
+    first k variables, the reduced basis of the ideal's intersection with
+    the trailing-variable subring; the others are never tail-reduced (see
+    ``eliminate_first``).
     """
     flat = _elements(gens)
     if not flat:
@@ -412,8 +413,8 @@ def reduced_groebner_basis(
             raise RingMismatchError("generators live in different rings")
     order = order or ring.default_order
     _parts(gens, order)  # refuses a basis part in another order
-    if free_of and order != MonomialOrder.elimination(free_of):
-        raise ValueError(f"free_of={free_of} needs the order elim({free_of})")
+    if free_of and (order.kind, order.block) != (MonomialOrder.ELIM, free_of):
+        raise ValueError(f"free_of={free_of} needs an order elim({free_of}, rest)")
     if all(g.total_degree() <= 1 for g in flat):
         gb = _linear_groebner_basis(flat, order)
         if free_of:
@@ -487,13 +488,16 @@ def eliminate_first(gens: Sequence, drop: int):
     """Generators of (gens) intersected with the trailing-variable subring.
 
     ``gens`` are polynomials or ``GroebnerBasis`` parts in
-    ``MonomialOrder.elimination(drop)``, as ``reduced_groebner_basis`` takes
-    them.
+    ``MonomialOrder.elimination(drop, ring.default_order)``, as
+    ``reduced_groebner_basis`` takes them.
 
-    Computed via a Groebner basis for the block elimination order; returns
-    (small_ring, generators) with the generators expressed in the subring:
-    the elements of the reduced basis that are free of the first ``drop``
-    variables, in the basis's order.
+    Computed via a Groebner basis for that block order, which keeps the
+    ring's own order on the trailing variables: the elimination theorem
+    holds for any order on them (Cox, Little and O'Shea, *Ideals,
+    Varieties, and Algorithms*, ch. 3 section 1).  Returns (small_ring,
+    generators) with the generators expressed in the subring: the elements
+    of the reduced basis that are free of the first ``drop`` variables, in
+    the basis's order, which is the subring's default order.
 
     Only those elements are minimalized and tail-reduced
     (``reduced_groebner_basis(..., free_of=drop)``).  That is exact: in the
@@ -509,7 +513,7 @@ def eliminate_first(gens: Sequence, drop: int):
     ring = (_elements(gens) or gens)[0].ring
     if not 1 <= drop <= ring.nvars - 1:
         raise ValueError(f"drop count {drop} out of range for {ring.nvars} variables")
-    order = MonomialOrder.elimination(drop)
+    order = MonomialOrder.elimination(drop, ring.default_order)
     gb = reduced_groebner_basis(gens, order, free_of=drop)
     small = PolyRing(ring.field, ring.variables[drop:], ring.default_order)
     out = [Polynomial(small, {m[drop:]: c for m, c in g.coeffs.items()}) for g in gb]

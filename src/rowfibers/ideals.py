@@ -88,22 +88,17 @@ def _adjoin(ring: PolyRing, count: int, front: bool):
     return big, lambda f: Polynomial(big, {m + pad: c for m, c in f.coeffs.items()})
 
 
-def _basis_part(ring: PolyRing, lifted: list) -> list:
-    """The parts, for ``eliminate_first(parts, 1)``, of ``lifted``: the
-    reduced basis G of an ideal of ``ring``, lifted by ``_adjoin(ring, 1,
-    front=True)`` and multiplied by one of 1, t and 1 - t.
+def _lifted_basis(big: PolyRing, lifted: list) -> GroebnerBasis:
+    """``lifted`` as a basis part of ``eliminate_first(parts, 1)`` in
+    ``big``: the reduced basis G of an ideal of ``ring``, lifted by
+    ``_adjoin(ring, 1, front=True)`` and multiplied by one of 1, t and 1 - t.
 
-    In grevlex, which is the order that ``elim(1)`` gives the ring's
-    variables, ``lifted`` is itself a Groebner basis in ``elim(1)``: the
-    multiplier puts t or nothing in front of each lead monomial and
-    multiplies through every standard representation of G's S-polynomials.
-    It is then one basis part, whose inner pairs are not reduced again.  In
-    any other order G is no basis in grevlex, and its elements enter one by
-    one.
+    It is a Groebner basis in ``elim(1, order)``, for ``order`` the ring's
+    own, which ``big`` shares: the multiplier puts t or nothing in front of
+    each lead monomial and multiplies through every standard representation
+    of G's S-polynomials.  So its inner pairs are not reduced again.
     """
-    if ring.default_order == MonomialOrder.grevlex():
-        return [GroebnerBasis(tuple(lifted), MonomialOrder.elimination(1))]
-    return lifted
+    return GroebnerBasis(tuple(lifted), MonomialOrder.elimination(1, big.default_order))
 
 
 def _minimalized(J: "Ideal"):
@@ -290,9 +285,9 @@ class Ideal:
         returned as it is: J when J is in I, else I when I is in J, decided
         by normal forms against the Groebner bases the ideals cache.  The
         elimination runs only when neither contains the other, from t*G_I
-        and (1-t)*G_J for the cached bases G_I and G_J; in grevlex each is
-        a basis part of the elimination (see ``_basis_part``), so only the
-        S-pairs across the two are reduced.
+        and (1-t)*G_J for the cached bases G_I and G_J.  Each is a basis
+        part of the elimination (see ``_lifted_basis``), so only the S-pairs
+        across the two are reduced.
         """
         self._check(other)
         if self.is_zero() or other.is_zero():
@@ -313,8 +308,10 @@ class Ideal:
             return self
         big, lift = _adjoin(self.ring, 1, front=True)
         t = big.gen(0)
-        parts = _basis_part(self.ring, [t * lift(f) for f in self.groebner()])
-        parts += _basis_part(self.ring, [(big.one() - t) * lift(g) for g in other.groebner()])
+        parts = [
+            _lifted_basis(big, [t * lift(f) for f in self.groebner()]),
+            _lifted_basis(big, [(big.one() - t) * lift(g) for g in other.groebner()]),
+        ]
         return Ideal(*eliminate_first(parts, 1))
 
     def colon_poly(self, f: Polynomial) -> "Ideal":
@@ -336,14 +333,14 @@ class Ideal:
 
     def _saturate_poly(self, f: Polynomial) -> "Ideal":
         """I : f^infty = (I, 1 - t*f) intersect k[x], one elimination, from
-        the cached basis G_I, lifted, and 1 - t*f; in grevlex the lifted
-        G_I is a basis part of the elimination (see ``_basis_part``).  For
-        a monomial ideal and a monomial f, I with f's variables set to 1."""
+        the cached basis G_I, lifted as a basis part (see
+        ``_lifted_basis``), and 1 - t*f.  For a monomial ideal and a
+        monomial f, I with f's variables set to 1."""
         exps = self.monomial_exponents()
         if exps is not None and len(f.coeffs) == 1:
             return _monomial_ideal(self.ring, _minimal_monomials(_saturate_exps(exps, *f.coeffs)))
         big, lift = _adjoin(self.ring, 1, front=True)
-        parts = _basis_part(self.ring, [lift(g) for g in self.groebner()])
+        parts = [_lifted_basis(big, [lift(g) for g in self.groebner()])]
         parts.append(big.one() - big.gen(0) * lift(f))
         return Ideal(*eliminate_first(parts, 1))
 
@@ -368,13 +365,6 @@ class Ideal:
         if self.is_zero():
             return self
         return reduce(Ideal.intersect, map(by_poly, other.generators))
-
-    # -- elimination --------------------------------------------------------
-
-    def eliminate(self, drop_count: int) -> "Ideal":
-        """I intersect k[trailing variables], expressed in the smaller ring."""
-        small, out = eliminate_first(list(self.generators) or [self.ring.zero()], drop_count)
-        return Ideal(small, out)
 
     # -- dimension ----------------------------------------------------------
 

@@ -197,11 +197,11 @@ def _lex_key(exps: tuple) -> tuple:
     return exps
 
 
-def _elim_key(block: int):
+def _elim_key(block: int, tail):
     # the head block's grevlex key always has block + 1 entries, so the flat
     # concatenation compares exactly like the pair (head key, tail key)
     def key(exps: tuple) -> tuple:
-        return _grevlex_key(exps[:block]) + _grevlex_key(exps[block:])
+        return _grevlex_key(exps[:block]) + tail(exps[block:])
 
     return key
 
@@ -221,8 +221,9 @@ class MonomialOrder:
     """A multiplicative well-order on monomials.
 
     Kinds: ``grevlex`` (graded reverse lexicographic), ``lex``, and
-    ``elim(k)`` -- a block order eliminating the first k variables, with
-    grevlex inside each block.
+    ``elim(k, rest)`` -- a block order eliminating the first k variables,
+    with grevlex on them and the order ``rest`` (grevlex unless given) on
+    the others.
 
     ``key(exps)`` is the sort key: key(a) > key(b) iff a > b in this order.
     It is computed once per monomial per order and kept with the order,
@@ -233,20 +234,24 @@ class MonomialOrder:
     LEX = "lex"
     ELIM = "elim"
 
-    def __init__(self, kind: str, block: int = 0):
+    def __init__(self, kind: str, block: int = 0, rest: Optional["MonomialOrder"] = None):
         if kind not in (self.GREVLEX, self.LEX, self.ELIM):
             raise ValueError(f"unknown monomial order kind {kind!r}")
         if kind == self.ELIM and block < 1:
             raise ValueError("elimination block size must be >= 1")
         self.kind = kind
         self.block = block
-        if kind == self.GREVLEX:
-            compute = _grevlex_key
-        elif kind == self.LEX:
-            compute = _lex_key
-        else:
-            compute = _elim_key(block)
-        self.key = _Keys(compute).__getitem__
+        self.rest = (rest or MonomialOrder.grevlex()) if kind == self.ELIM else None
+        self.key = _Keys(self._compute()).__getitem__
+
+    def _compute(self):
+        """The uncached key function; an elimination order keys the head
+        block by grevlex, then the rest by ``rest``'s key function."""
+        if self.kind == self.GREVLEX:
+            return _grevlex_key
+        if self.kind == self.LEX:
+            return _lex_key
+        return _elim_key(self.block, self.rest._compute())
 
     @classmethod
     def grevlex(cls) -> "MonomialOrder":
@@ -257,8 +262,8 @@ class MonomialOrder:
         return cls(cls.LEX)
 
     @classmethod
-    def elimination(cls, block: int) -> "MonomialOrder":
-        return cls(cls.ELIM, block)
+    def elimination(cls, block: int, rest: Optional["MonomialOrder"] = None) -> "MonomialOrder":
+        return cls(cls.ELIM, block, rest)
 
     def compare(self, a: tuple, b: tuple) -> int:
         """-1 / 0 / +1 as a < b / a = b / a > b."""
@@ -272,14 +277,15 @@ class MonomialOrder:
             isinstance(other, MonomialOrder)
             and self.kind == other.kind
             and self.block == other.block
+            and self.rest == other.rest
         )
 
     def __hash__(self):
-        return hash((self.kind, self.block))
+        return hash((self.kind, self.block, self.rest))
 
     def __repr__(self):
         if self.kind == self.ELIM:
-            return f"elim({self.block})"
+            return f"elim({self.block}, {self.rest!r})"
         return self.kind
 
 

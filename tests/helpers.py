@@ -17,7 +17,7 @@ from rowfibers import (
     minimal_presentation,
     reduced_groebner_basis,
 )
-from rowfibers import groebner, ideals
+from rowfibers import fibers, groebner, ideals
 from rowfibers.polyring import (
     mono_degree,
     mono_div,
@@ -260,8 +260,8 @@ def special_fiber_dimension_by_elimination(ctx):
 
 def count_eliminations(monkeypatch):
     """A list that grows by one at each ``eliminate_first`` call, patched in
-    both modules that name the function."""
-    return _count_calls(monkeypatch, "eliminate_first", groebner, ideals)
+    every module that names the function."""
+    return _count_calls(monkeypatch, "eliminate_first", groebner, ideals, fibers)
 
 
 def count_s_pairs(monkeypatch):

@@ -161,6 +161,21 @@ def test_cli_plane_cubics_fiber_reduces_only_pairs_across_cached_bases(capsys, m
     assert len(pairs) <= 63
 
 
+def test_cli_plane_cubics_fiber_under_lex_reduces_only_pairs_across_cached_bases(
+    capsys, monkeypatch
+):
+    """Under lex each elimination keeps lex on the kept variables, so the
+    cached lex bases are basis parts there too: at most 117 S-pairs, where
+    eliminating with a grevlex tail, each basis element entering alone,
+    formed 135."""
+    pairs = count_s_pairs(monkeypatch)
+    rep = run_json(capsys, "fiber", CUBICS, "--at", "q", "--kind", "all", "--order", "lex")
+    name = "fiber_plane_cubics_at_q_kind_all_order_lex.json"
+    golden = json.loads((DATA / "golden" / name).read_text())
+    assert rep["results"] == golden["results"]
+    assert len(pairs) <= 117
+
+
 def test_cli_fiber_kind_selection(capsys):
     rep = run_json(capsys, "fiber", CUBICS, "--at", "q", "--kind", "morphism")
     assert rep["results"] == {"morphism": ["x0*x1 - x2^2"]}

@@ -84,6 +84,13 @@ def test_elimination_order_blocks():
     order = MonomialOrder.elimination(1)
     assert order.compare((1, 0, 0), (0, 7, 7)) > 0
     assert order.compare((2, 0, 0), (1, 5, 0)) > 0
+    # the kept block is ordered by the order given for it, grevlex by default
+    assert order == MonomialOrder.elimination(1, MonomialOrder.grevlex())
+    lex_tail = MonomialOrder.elimination(1, MonomialOrder.lex())
+    assert lex_tail != order and repr(lex_tail) == "elim(1, lex)"
+    assert len({order, lex_tail, MonomialOrder.elimination(1)}) == 2
+    assert order.compare((0, 1, 0), (0, 0, 9)) < 0
+    assert lex_tail.compare((0, 1, 0), (0, 0, 9)) > 0
 
 
 exps3 = st.tuples(*[st.integers(0, 6)] * 3)
@@ -91,7 +98,12 @@ exps3 = st.tuples(*[st.integers(0, 6)] * 3)
 
 @given(a=exps3, b=exps3, c=exps3)
 def test_orders_are_multiplicative_total_orders(a, b, c):
-    for order in (MonomialOrder.grevlex(), MonomialOrder.lex(), MonomialOrder.elimination(1)):
+    for order in (
+        MonomialOrder.grevlex(),
+        MonomialOrder.lex(),
+        MonomialOrder.elimination(1),
+        MonomialOrder.elimination(1, MonomialOrder.lex()),
+    ):
         cmp = order.compare(a, b)
         assert cmp == -order.compare(b, a)
         assert (cmp == 0) == (a == b)
@@ -102,8 +114,9 @@ def test_orders_are_multiplicative_total_orders(a, b, c):
 
 
 # Reference definitions of the monomial kernels: generator expressions over
-# zip, and the elimination key as a nested (head key, tail key) pair.  The
-# library's map-based kernels and flat elimination key must agree with them.
+# zip, and the elimination key as a nested (head key, tail key) pair, the
+# tail keyed by the order's ``rest``.  The library's map-based kernels and
+# flat elimination key must agree with them.
 
 
 def _reference_grevlex(exps):
@@ -116,7 +129,7 @@ def _reference_key(order, exps):
     if order.kind == MonomialOrder.LEX:
         return exps
     k = order.block
-    return (_reference_grevlex(exps[:k]), _reference_grevlex(exps[k:]))
+    return (_reference_grevlex(exps[:k]), _reference_key(order.rest, exps[k:]))
 
 
 def _sign(x, y):
@@ -135,6 +148,7 @@ def test_order_keys_compare_like_reference_keys(pair):
     n = len(a)
     orders = [MonomialOrder.grevlex(), MonomialOrder.lex()]
     orders += [MonomialOrder.elimination(k) for k in range(1, n + 1)]
+    orders += [MonomialOrder.elimination(k, MonomialOrder.lex()) for k in range(1, n + 1)]
     for order in orders:
         expected = _sign(_reference_key(order, a), _reference_key(order, b))
         assert _sign(order.key(a), order.key(b)) == expected, order
