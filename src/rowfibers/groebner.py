@@ -36,7 +36,10 @@ pair inside a Groebner basis of the same order already has one, by the
 elements of that basis.  So the loop treats such a pair as reduced to zero
 when its second element joins.  A lone polynomial is a part of one, so on
 polynomials alone the loop is unchanged.  A basis in another order gives no
-such representation and is refused.
+such representation and is refused.  The first part skips the update
+altogether: while it joins, every pair is inside it, so none is pending and
+none can be pushed.  The eliminations of ``Ideal.intersect``, ``colon_poly``
+and ``_saturate_poly`` start from such a part, a cached reduced basis lifted.
 
 ``normal_form`` is the one reducer of ideal elements; ``_buchberger``
 reduces each S-pair through it.  It reads each basis element's lead
@@ -219,15 +222,16 @@ def _s_pair(a: tuple, b: tuple, lcm: tuple, ring: PolyRing) -> Polynomial:
 
 
 def _parts(gens, order: MonomialOrder) -> list:
-    """The nonzero elements of each input as a tuple: a ``GroebnerBasis``
-    in ``order`` whole, a polynomial alone; a basis in another order raises
-    ``ValueError``."""
+    """The nonzero elements of each input as a tuple: a nonempty
+    ``GroebnerBasis`` in ``order`` whole, a polynomial alone; a basis in
+    another order raises ``ValueError``."""
     parts = []
     for g in gens:
         if isinstance(g, GroebnerBasis):
             if g.order != order:
                 raise ValueError(f"a basis in {g.order} is not a part of a run in {order}")
-            parts.append(g.elements)
+            if g.elements:
+                parts.append(g.elements)
         elif not g.is_zero():
             parts.append((g,))
     return parts
@@ -237,7 +241,10 @@ def _buchberger(gens: Sequence, order: MonomialOrder):
     """A Groebner basis of the ideal of ``gens``, each a polynomial or a
     ``GroebnerBasis`` part in ``order``: the normalized nonzero elements in
     input order, then each nonzero S-pair remainder in the order it was
-    found.  No pair inside one basis part is reduced."""
+    found.  No pair inside one basis part is reduced, and the elements of
+    the first part join with no pair update (see ``join``), so a lone basis
+    part comes back element for element, normalized, with no S-pair
+    reduced."""
     parts = _parts(gens, order)
     ring = parts[0][0].ring
     basis: list = []
@@ -262,36 +269,41 @@ def _buchberger(gens: Sequence, order: MonomialOrder):
         a coprime pair is dropped whole, as is any other coprime pair.  The
         elements from index ``part`` on belong to g's basis part: their
         pairs with g count in every criterion, and a kept one is not
-        pushed."""
+        pushed.
+
+        An element of the first part (``part == 0``) skips the update: every
+        earlier element is of its part and no pair is pending yet, so the
+        update could neither push a pair nor drop one."""
         g = normalize(g, order)
         lead = g.leading(order)
         m = lead[1]
         ecart = sugar - sum(m)
         t = len(basis)
-        with_t = [tuple(map(max, k, m)) for k in lms]
-        for (i, j), lcm in list(pending.items()):
-            if all(map(le, m, lcm)) and with_t[i] != lcm and with_t[j] != lcm:
-                del pending[(i, j)]
-        groups: dict = {}  # lcm -> (first pair's index, some pair is coprime)
-        for i in live:
-            lcm = with_t[i]
-            coprime = lcm == tuple(map(add, lms[i], m))
-            if lcm in groups:
-                first, seen = groups[lcm]
-                groups[lcm] = first, seen or coprime
-            else:
-                groups[lcm] = i, coprime
-        # a proper divisor has a lower degree, and an lcm that some other
-        # lcm divides is divided by a minimal one, so test only those
-        minimal: list = []
-        for lcm in sorted(groups, key=sum):
-            if any(all(map(le, other, lcm)) for other in minimal):
-                continue
-            minimal.append(lcm)
-            i, coprime = groups[lcm]
-            if not coprime and i < part:
-                pending[(i, t)] = lcm
-                heapq.heappush(heap, (sum(lcm) + max(ecarts[i], ecart), i, t))
+        if part:
+            with_t = [tuple(map(max, k, m)) for k in lms]
+            for (i, j), lcm in list(pending.items()):
+                if all(map(le, m, lcm)) and with_t[i] != lcm and with_t[j] != lcm:
+                    del pending[(i, j)]
+            groups: dict = {}  # lcm -> (first pair's index, some pair is coprime)
+            for i in live:
+                lcm = with_t[i]
+                coprime = lcm == tuple(map(add, lms[i], m))
+                if lcm in groups:
+                    first, seen = groups[lcm]
+                    groups[lcm] = first, seen or coprime
+                else:
+                    groups[lcm] = i, coprime
+            # a proper divisor has a lower degree, and an lcm that some other
+            # lcm divides is divided by a minimal one, so test only those
+            minimal: list = []
+            for lcm in sorted(groups, key=sum):
+                if any(all(map(le, other, lcm)) for other in minimal):
+                    continue
+                minimal.append(lcm)
+                i, coprime = groups[lcm]
+                if not coprime and i < part:
+                    pending[(i, t)] = lcm
+                    heapq.heappush(heap, (sum(lcm) + max(ecarts[i], ecart), i, t))
         live[:] = [i for i in live if not all(map(le, m, lms[i]))]
         live.append(t)
         basis.append(g)

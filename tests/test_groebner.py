@@ -26,7 +26,7 @@ from rowfibers.groebner import (
     module_groebner,
     module_normal_form,
 )
-from rowfibers.polyring import mono_divides
+from rowfibers.polyring import mono_divides, normalize
 
 from helpers import (
     FP,
@@ -604,3 +604,148 @@ def test_pair_update_reduces_the_chain_scans_pairs(monkeypatch, R, texts):
     basis, reduced = _reduced_s_pairs(monkeypatch, gens, order)
     assert [exact_terms(s) for s in reduced] == [exact_terms(s) for s in expected]
     assert [exact_terms(g) for g in basis] == [exact_terms(g) for g in reference]
+
+
+# -- eliminations from a lifted basis ------------------------------------------
+# Ideal.intersect, Ideal.colon_poly and Ideal._saturate_poly run Buchberger
+# in elim(1) from a cached reduced basis G_I, lifted and multiplied by t or
+# 1, as the first basis part.  These goldens, recorded before the first part
+# skipped the pair update, pin the S-polynomials reduced, in order, and the
+# raw basis.
+
+RTP = ring(FP, "t", "x", "y", "z")
+RTQ = ring(QQ, "t", "x", "y", "z")
+ELIM = MonomialOrder.elimination(1)
+I_GENS = ("x^2 - y*z", "x*y - z^2")
+
+
+def _lifted(R, texts, factor):
+    """The reduced basis of ``texts``, which are free of t, times ``factor``,
+    as a basis part in elim(1)."""
+    gb = reduced_groebner_basis([R.parse(s) for s in texts], ELIM)
+    return GroebnerBasis(tuple(factor * g for g in gb), ELIM)
+
+
+def _elimination_parts(R, shape):
+    """The parts of the elimination that ``shape`` runs on I = (I_GENS):
+    t*G_I and (1-t)*G_J for J = (y^2 - x*z), t*G_I and (1-t)*(x - z) for the
+    colon by x - z, and G_I and 1 - t*(y + z) for the saturation by y + z."""
+    t, one = R.gen(0), R.one()
+    if shape == "intersect":
+        return [_lifted(R, I_GENS, t), _lifted(R, ["y^2 - x*z"], one - t)]
+    if shape == "colon":
+        return [_lifted(R, I_GENS, t), _lifted(R, ["x - z"], one - t)]
+    return [_lifted(R, I_GENS, one), one - t * R.parse("y + z")]
+
+
+INTERSECT = (
+    [
+        "t*x^2*z - t*y*z^2 + x*y^2 - x^2*z",
+        "y^2*z - x*z^2",
+        "t*x^2*z - t*y*z^2",
+        "-y^2*z + x*z^2",
+        "0",
+    ],
+    [
+        "t*x*y - t*z^2",
+        "t*x^2 - t*y*z",
+        "t*y^2*z - t*x*z^2",
+        "t*y^2 - t*x*z - y^2 + x*z",
+        "x*y^2 - x^2*z",
+        "y^2*z - x*z^2",
+    ],
+)
+COLON = (
+    [
+        "t*y*z - t*z^2 + x*y - y*z",
+        "t*x*z - t*y*z + x^2 - x*z",
+        "-t*x*z^2 + t*y*z^2 - x*y^2 + y^2*z",
+        "t*x*z^2 - t*y*z^2 - x^2*y + y*z^2",
+        "-t*x*y - t*x*z + t*y*z + t*z^2 - x^2 + x*z",
+        "-t*x*y*z - t*x*z^2 + t*y*z^2 + t*z^3 - x*y^2 + y^2*z",
+        "x*y^3 - x^2*y*z + x*y^2*z - y^3*z - x^2*z^2 + x*y*z^2 - y^2*z^2 + x*z^3",
+    ],
+    [
+        "t*x*y - t*z^2",
+        "t*x^2 - t*y*z",
+        "t*y^2*z - t*x*z^2",
+        "t*x - t*z - x + z",
+        "t*y*z - t*z^2 + x*y - y*z",
+        "x^2 + x*y - y*z - z^2",
+        "x*y^2 + x*y*z - y^2*z + x*z^2 - y*z^2 - z^3",
+    ],
+)
+SATURATE_SPAIRS = [
+    "-t*x*z - t*z^2 + x",
+    "-t*y*z^2 - t*z^3 + x*y",
+    "-t*x*z^2 - t*y*z^2 + x^2",
+    "-t*x*z^2 - t*y*z^2 + y*z",
+]
+SATURATE_BASIS = ["x*y - z^2", "x^2 - y*z", "y^2*z - x*z^2", "t*y + t*z - 1", "t*x*z + t*z^2 - x"]
+
+
+@pytest.mark.parametrize(
+    "R, shape, expected",
+    [
+        (RTP, "intersect", INTERSECT),
+        (RTQ, "intersect", INTERSECT),
+        (RTP, "colon", COLON),
+        (RTQ, "colon", COLON),
+        (
+            RTP,
+            "saturate",
+            (
+                SATURATE_SPAIRS
+                + [
+                    "t*z^4 - 16001*x*y*z + 16001*y^2*z - 16001*y*z^2 - z^3",
+                    "t*z^4 - 16001*x^2*z + 16001*x*y*z + 16001*x*z^2",
+                ],
+                SATURATE_BASIS + ["t*z^3 + 16001*x*z - 16001*y*z + 16001*z^2"],
+            ),
+        ),
+        (
+            RTQ,
+            "saturate",
+            (
+                SATURATE_SPAIRS
+                + [
+                    "t*z^4 + 1/2*x*y*z - 1/2*y^2*z + 1/2*y*z^2 - z^3",
+                    "t*z^4 + 1/2*x^2*z - 1/2*x*y*z - 1/2*x*z^2",
+                ],
+                SATURATE_BASIS + ["2*t*z^3 - x*z + y*z - z^2"],
+            ),
+        ),
+    ],
+    ids=["intersect-fp", "intersect-q", "colon-fp", "colon-q", "saturate-fp", "saturate-q"],
+)
+def test_lifted_basis_eliminations_pin_their_s_pairs(monkeypatch, R, shape, expected):
+    """From a lifted basis as the first part, the loop reduces these
+    S-polynomials, in this order, and returns this raw basis, the first
+    part's elements first and as they were."""
+    parts = _elimination_parts(R, shape)
+    basis, reduced = _reduced_s_pairs(monkeypatch, parts, ELIM)
+    assert ([s.text(ELIM) for s in reduced], [g.text(ELIM) for g in basis]) == expected
+    assert basis[: len(parts[0])] == list(parts[0])
+
+
+@pytest.mark.parametrize("R", [RTP, RTQ], ids=["fp", "q"])
+@pytest.mark.parametrize("factor", ["1", "t", "1 - t"])
+def test_a_lone_basis_part_reduces_no_s_pair(monkeypatch, R, factor):
+    """A basis part on its own comes back element for element, normalized,
+    with no S-pair reduced."""
+    part = _lifted(R, ["x^2 - y*z", "x*y - z^2", "y^2 - x*z + y"], R.parse(factor))
+    basis, reduced = _reduced_s_pairs(monkeypatch, [part], ELIM)
+    assert reduced == []
+    assert basis == [normalize(g, ELIM) for g in part]
+
+
+@pytest.mark.parametrize("R", [RP, RQ], ids=["fp", "q"])
+def test_empty_basis_parts_are_dropped(R):
+    """An empty basis part adds nothing, first, in the middle or alone."""
+    order = R.default_order
+    f, g = R.parse("x^2 - y*z"), R.parse("x*y - z^2")
+    empty = GroebnerBasis((), order)
+    want = reduced_groebner_basis([f, g], order)
+    assert reduced_groebner_basis([empty, f, g], order) == want
+    assert reduced_groebner_basis([f, empty, g], order) == want
+    assert reduced_groebner_basis([empty], order) == GroebnerBasis((), order)
